@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .laurent import LaurentPoly, RatFunc, VarUniverse
-from .partitions import (SetPartition, coefficient_a, enumerate_partitions,
-                         enumerate_refinements)
+from .partitions import SetPartition, partition_sum
 
 N_CAP = 6
 K_CAP = 7
@@ -43,8 +42,8 @@ class TorusData:
 
     @classmethod
     def standard(cls, n: int, k: int = 0, extras: Tuple[str, ...] = ()) -> "TorusData":
-        if n > N_CAP:
-            raise ValueError("n capped at %d" % N_CAP)
+        if not 1 <= n <= N_CAP:
+            raise ValueError("n must be in 1..%d, got %d" % (N_CAP, n))
         u = standard_universe(n, k, extras)
         return cls(u,
                    tuple("a%d" % i for i in range(1, n + 1)),
@@ -153,48 +152,49 @@ def lambda_y_proj(t: TorusData, i: int):
     return numer, denom
 
 
+def _falling_factorial(x: RatFunc, e: RatFunc, k: int) -> RatFunc:
+    """prod_{m<k} (x - m e) for k >= 1; by exp(x log(1+t)) = (1+t)^x it equals
+    the sum over set partitions P of [k] of a(P) x^|P| e^(k-|P|)."""
+    if k < 1:
+        raise ValueError("k must be positive, got %d" % k)
+    acc = x
+    for m in range(1, k):
+        acc = acc * (x - m * e)
+    return acc
+
+
 def mc_conf_generic(data: LocalClassData, k: int) -> RatFunc:
     """Configuration-space class from point data:
-    sum over partitions of a(P) * mcB^|P| * euTM^(k - |P|)."""
+    sum over partitions of a(P) * mcB^|P| * euTM^(k - |P|)
+    = prod_{m<k} (mcB - m euTM)."""
     _check_k(k)
-    acc = RatFunc.const(data.mcB.universe, 0)
-    for p in enumerate_partitions(k):
-        acc = acc + coefficient_a(p) * data.mcB ** len(p) * data.euTM ** (k - len(p))
-    return acc
+    return _falling_factorial(data.mcB, data.euTM, k)
 
 
 def mc_conf_affine(t: TorusData, k: int) -> RatFunc:
-    """Class of the configuration space of affine n-space at the origin."""
+    """Class of the configuration space of affine n-space at the origin:
+    the point-data class at mcB = prod_j (1 + y/a_j), euTM = euler_point(t),
+    that is prod_{m<k} (mcB - m euTM)."""
     _check_k(k)
-    acc = RatFunc.const(t.universe, 0)
-    for p in enumerate_partitions(k):
-        term = RatFunc.const(t.universe, coefficient_a(p))
-        for block in p.blocks:
-            s = len(block)
-            for j in range(1, t.n + 1):
-                term = term * (1 + t.y / t.a(j)) * (1 - 1 / t.a(j)) ** (s - 1)
-        acc = acc + term
-    return acc
+    mcB = t.one()
+    for j in range(1, t.n + 1):
+        mcB = mcB * (1 + t.y / t.a(j))
+    return _falling_factorial(mcB, euler_point(t), k)
 
 
 def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     """Class of the configuration space of projective (n-1)-space restricted
-    to a fixed point, summed over refinements of the coincidence partition."""
+    to a fixed point: the sum over refinements P of the coincidence partition
+    of a(P) prod_{B in P} lambda_y(i_B) lambda_{-1}(i_B)^(|B|-1), which is the
+    product over its blocks C of prod_{m<|C|} (lambda_y - m lambda_{-1})(i_C).
+    """
     _check_k(e.k)
     if any(i > t.n for i in e.iota):
         raise ValueError("fixed point index exceeds n")
-    acc = RatFunc.const(t.universe, 0)
-    for p in enumerate_refinements(e.induced_partition()):
-        term = RatFunc.const(t.universe, coefficient_a(p))
-        for block in p.blocks:
-            i = e.iota[block[0] - 1]
-            s = len(block)
-            for j in range(1, t.n + 1):
-                if j == i:
-                    continue
-                term = term * (1 + t.y * t.a(i) / t.a(j)) \
-                            * (1 - t.a(i) / t.a(j)) ** (s - 1)
-        acc = acc + term
+    acc = t.one()
+    for block in e.induced_partition().blocks:
+        lam_y, lam_m1 = lambda_y_proj(t, e.iota[block[0] - 1])
+        acc = acc * _falling_factorial(lam_y, lam_m1, len(block))
     return acc
 
 
@@ -211,34 +211,30 @@ def psi(universe: VarUniverse, i: int, j: int, theta: RatFunc) -> RatFunc:
 
 def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     """Class of the space of k pairwise linearly independent nonzero vectors
-    in C^n, with per-point scaling weights b_1..b_k."""
+    in C^n, with per-point scaling weights b_1..b_k: the partition sum over
+    set partitions P of [k] of a(P) * prod_{B in P} w(B), where
+    w(B) = sum_i prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j)
+                 * prod_j prod_{a in B} psi(i, j, b_a a_j)."""
     _check_k(k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
     if k == 0:
         return t.one()
-    acc = RatFunc.const(t.universe, 0)
-    for p in enumerate_partitions(k):
-        term = RatFunc.const(t.universe, 1)
-        for block in p.blocks:
-            s = len(block)
-            sign = (-1) ** (s - 1)
-            fact = 1
-            for m in range(1, s):
-                fact *= m
-            inner = RatFunc.const(t.universe, 0)
-            for i in range(1, t.n + 1):
-                prod = t.one()
-                for j in range(1, t.n + 1):
-                    if j != i:
-                        prod = prod * (1 + t.y * t.a(i) / t.a(j)) \
-                                    / (1 - t.a(i) / t.a(j))
-                    for a in block:
-                        prod = prod * psi(t.universe, i, j, t.b(a) * t.a(j))
-                inner = inner + prod
-            term = term * sign * fact * inner
-        acc = acc + term
-    return acc
+
+    def weight(block):
+        acc = RatFunc.const(t.universe, 0)
+        for i in range(1, t.n + 1):
+            prod = t.one()
+            for j in range(1, t.n + 1):
+                if j != i:
+                    prod = prod * (1 + t.y * t.a(i) / t.a(j)) \
+                                / (1 - t.a(i) / t.a(j))
+                for a in block:
+                    prod = prod * psi(t.universe, i, j, t.b(a) * t.a(j))
+            acc = acc + prod
+        return acc
+
+    return partition_sum(SetPartition(k, [range(1, k + 1)]), weight, t.one())
 
 
 def mc_orbit_full(t: TorusData, k: int) -> RatFunc:

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .classes import (ProjFixedPoint, TorusData, mc_conf_affine,
                       mc_conf_proj_at, mc_conf_proj_recursion, mc_orbit_conf,
@@ -34,11 +35,12 @@ def _emit(rf: RatFunc, output: str):
         print(rf)
 
 
-def _parse_point(text: str):
+def _parse_list(option: str, text: str, convert) -> list:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise SystemExit(2)
+        return [convert(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s expects comma-separated values, got %r"
+                         % (option, text)) from None
 
 
 def cmd_conf_affine(args) -> int:
@@ -49,7 +51,7 @@ def cmd_conf_affine(args) -> int:
 
 def cmd_conf_proj(args) -> int:
     t = TorusData.standard(args.n)
-    e = ProjFixedPoint(_parse_point(args.point))
+    e = ProjFixedPoint(tuple(_parse_list("--point", args.point, int)))
     _emit(mc_conf_proj_at(t, e), args.output)
     return 0
 
@@ -79,10 +81,7 @@ def _check_recursion(args) -> bool:
     t = TorusData.standard(args.n)
     bad = 0
     total = 0
-    tuples = [()]
-    for _ in range(args.k):
-        tuples = [tup + (i,) for tup in tuples for i in range(1, args.n + 1)]
-    for tup in tuples:
+    for tup in product(range(1, args.n + 1), repeat=args.k):
         total += 1
         e = ProjFixedPoint(tup)
         if mc_conf_proj_recursion(t, e) != mc_conf_proj_at(t, e):
@@ -113,8 +112,8 @@ def cmd_check(args) -> int:
     elif name == "s2":
         ok = check_orbit_series(args.n, args.N)
     elif name == "residue":
-        alphas = [Fraction(a) for a in args.alphas.split(",")]
-        ok = check_residue_form(alphas, args.N)
+        ok = check_residue_form(_parse_list("--alphas", args.alphas, Fraction),
+                                args.N)
     elif name == "bb-stability":
         ok = check_bb_stability(args.n, args.k)
     elif name == "recursion":
@@ -148,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="accepted for interface compatibility; "
-                            "evaluation is sequential")
 
     p = sub.add_parser("conf-affine", help="affine configuration class")
     p.add_argument("--n", type=int, required=True)

@@ -6,7 +6,8 @@ projective configuration classes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import product
+from typing import Sequence
 
 from .laurent import LaurentPoly, RatFunc, VarUniverse
 from .classes import ProjFixedPoint, TorusData, mc_conf_proj_at
@@ -123,20 +124,13 @@ def check_bb_stability(n: int, k: int) -> bool:
     t_small = TorusData(universe, alpha[:-1])
     inv_u = RatFunc.var(universe, "u", -1)
     spec = LimitSpec("u", "to_zero")
-    for iota in _tuples(n - 1, k):
+    for iota in product(range(1, n), repeat=k):
         e = ProjFixedPoint(iota)
         big = mc_conf_proj_at(t_full, e).substitute({alpha[-1]: inv_u}, universe)
         small = mc_conf_proj_at(t_small, e)
         if limit_map(big, spec) != small:
             return False
     return True
-
-
-def _tuples(top: int, k: int) -> List[Tuple[int, ...]]:
-    out = [()]
-    for _ in range(k):
-        out = [t + (i,) for t in out for i in range(1, top + 1)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +192,6 @@ def run_limit_property_suite(seed: int = 0, count: int = 200):
 def lambda_quotient_sweep(max_len: int = 4):
     """Exhaustive small sweep of summand lists; yields (summands, limit,
     expected) triples."""
-    from itertools import product
-
     universe = _PROP_UNIVERSE
     base = RatFunc.var(universe, "a1")
     omegas = (-2, -1, 1, 2)

@@ -182,6 +182,8 @@ def connected_sum_b(k: int) -> Fraction:
 
 def enumerate_refinements(p0: SetPartition) -> List[SetPartition]:
     """All partitions of [k] each of whose blocks lies inside a block of p0."""
+    if len(p0) == 1:
+        return enumerate_partitions(p0.k)
     per_block = []
     for b in p0.blocks:
         m = len(b)
@@ -201,6 +203,19 @@ def enumerate_refinements(p0: SetPartition) -> List[SetPartition]:
 
     combine(0, [])
     return out
+
+
+def partition_sum(p0: SetPartition, block_weight, one):
+    """Sum over the refinements P of p0 of a(P) * prod_{B in P} w(B), where
+    w = `block_weight` maps a block (a sorted tuple) into the ring with unit
+    `one`.  For the one-block p0 this runs over all set partitions of [k]."""
+    total = 0 * one
+    for p in enumerate_refinements(p0):
+        term = coefficient_a(p) * one
+        for block in p.blocks:
+            term = term * block_weight(block)
+        total = total + term
+    return total
 
 
 def bell_number_oracle(n: int) -> int:

@@ -10,7 +10,7 @@ from typing import List, Sequence
 
 from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError, VarUniverse,
                       ZeroDenominatorError)
-from .partitions import coefficient_a, enumerate_partitions
+from .partitions import SetPartition, partition_sum
 from .classes import (TorusData, euler_point, lambda_y_proj, mc_orbit_conf,
                       mc_orbit_full, euler_point_beta)
 
@@ -151,6 +151,17 @@ class TruncSeries:
 # Generating-series identity checks
 # ---------------------------------------------------------------------------
 
+def _partition_series(universe: VarUniverse, n_order: int,
+                      block_weight) -> TruncSeries:
+    """1 + sum_k (t^k/k!) sum_P a(P) prod_{B in P} w(B), with P running over
+    the set partitions of [k]."""
+    one = RatFunc.const(universe, 1)
+    return TruncSeries(universe, n_order, [one] + [
+        Fraction(1, math.factorial(k))
+        * partition_sum(SetPartition(k, [range(1, k + 1)]), block_weight, one)
+        for k in range(1, n_order + 1)])
+
+
 def check_partition_exp_identity(n_order: int) -> bool:
     """Master identity: the partition sum with one free symbol per block
     size equals exp of the alternating-harmonic combination.
@@ -163,61 +174,41 @@ def check_partition_exp_identity(n_order: int) -> bool:
     if n_order > 7:
         raise ValueError("order capped at 7")
     universe = VarUniverse(tuple("x%d" % u for u in range(1, n_order + 1)))
-    lhs = TruncSeries.const(universe, n_order, 1)
-    for k in range(1, n_order + 1):
-        coeff = RatFunc.const(universe, 0)
-        for p in enumerate_partitions(k):
-            term = RatFunc.const(universe, coefficient_a(p))
-            for block in p.blocks:
-                term = term * RatFunc.var(universe, "x%d" % len(block))
-            coeff = coeff + term
-        coeff = Fraction(1, math.factorial(k)) * coeff
-        lhs = lhs + coeff * TruncSeries.t(universe, n_order) ** k
 
-    arg = TruncSeries.const(universe, n_order, 0)
-    for u in range(1, n_order + 1):
-        xu = RatFunc.var(universe, "x%d" % u)
-        arg = arg + (Fraction((-1) ** (u - 1), u) * xu) \
-            * TruncSeries.t(universe, n_order) ** u
-    return lhs == arg.exp()
+    def x(u):
+        return RatFunc.var(universe, "x%d" % u)
+
+    lhs = _partition_series(universe, n_order, lambda b: x(len(b)))
+    arg = [RatFunc.const(universe, 0)] + [
+        Fraction((-1) ** (u - 1), u) * x(u) for u in range(1, n_order + 1)]
+    return lhs == TruncSeries(universe, n_order, arg).exp()
 
 
 def check_point_series(n_order: int) -> bool:
     """Point-restriction series with one free symbol for the localized
-    subvariety class: partition sums vs exp(m * log(1+t))."""
+    subvariety class: 1 + sum_k (t^k/k!) sum_P a(P) m^|P| against
+    exp(m * log(1+t))."""
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
-    lhs = TruncSeries.const(universe, n_order, 1)
-    for k in range(1, n_order + 1):
-        coeff = RatFunc.const(universe, 0)
-        for p in enumerate_partitions(k):
-            coeff = coeff + coefficient_a(p) * m ** len(p)
-        lhs = lhs + (Fraction(1, math.factorial(k)) * coeff) \
-            * TruncSeries.t(universe, n_order) ** k
+    lhs = _partition_series(universe, n_order, lambda b: m)
     t = TruncSeries.t(universe, n_order)
     rhs = (TruncSeries.const(universe, n_order, m) * t.log1p()).exp()
     return lhs == rhs
 
 
 def check_point_series_ambient(n_order: int) -> bool:
-    """Two-symbol diagonal form: partition sums weighted by the ambient
-    Euler symbol e, against exp(m * log(1 + t e)/e)."""
+    """Two-symbol diagonal form: 1 + sum_k (t^k/k!) sum_P a(P) m^|P|
+    e^(k-|P|) against exp(m * log(1 + t e)/e)."""
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     e = RatFunc.var(universe, "e")
-    lhs = TruncSeries.const(universe, n_order, 1)
-    for k in range(1, n_order + 1):
-        coeff = RatFunc.const(universe, 0)
-        for p in enumerate_partitions(k):
-            coeff = coeff + coefficient_a(p) * m ** len(p) * e ** (k - len(p))
-        lhs = lhs + (Fraction(1, math.factorial(k)) * coeff) \
-            * TruncSeries.t(universe, n_order) ** k
+    lhs = _partition_series(universe, n_order,
+                            lambda b: m * e ** (len(b) - 1))
     # log(1 + e t)/e expanded termwise; no division by the symbol e needed
-    arg = TruncSeries.const(universe, n_order, 0)
-    for u in range(1, n_order + 1):
-        c = Fraction((-1) ** (u - 1), u) * m * e ** (u - 1)
-        arg = arg + c * TruncSeries.t(universe, n_order) ** u
-    return lhs == arg.exp()
+    arg = [RatFunc.const(universe, 0)] + [
+        Fraction((-1) ** (u - 1), u) * m * e ** (u - 1)
+        for u in range(1, n_order + 1)]
+    return lhs == TruncSeries(universe, n_order, arg).exp()
 
 
 def orbit_series_sides(n: int, n_order: int):
@@ -226,12 +217,11 @@ def orbit_series_sides(n: int, n_order: int):
     t_data = TorusData.standard(n, k=n_order)
     universe = t_data.universe
     ones = {name: 1 for name in t_data.beta}
-    lhs = TruncSeries.const(universe, n_order, 1)
+    lhs = [t_data.one()]
     for k in range(1, n_order + 1):
         cls = mc_orbit_conf(t_data, k).substitute(ones, universe)
-        coeff = cls / euler_point(t_data, k)
-        lhs = lhs + (Fraction(1, math.factorial(k)) * coeff) \
-            * TruncSeries.t(universe, n_order) ** k
+        lhs.append(Fraction(1, math.factorial(k))
+                   * (cls / euler_point(t_data, k)))
 
     rhs = TruncSeries.const(universe, n_order, 1)
     one_plus_y = 1 + t_data.y
@@ -239,7 +229,7 @@ def orbit_series_sides(n: int, n_order: int):
         lam_y, lam_m1 = lambda_y_proj(t_data, i)
         arg = (one_plus_y / (t_data.a(i) - 1)) * TruncSeries.t(universe, n_order)
         rhs = rhs * ((lam_y / lam_m1) * arg.log1p()).exp()
-    return lhs, rhs
+    return TruncSeries(universe, n_order, lhs), rhs
 
 
 def check_orbit_series(n: int, n_order: int) -> bool:
@@ -255,12 +245,11 @@ def orbit_full_series(n: int, n_order: int) -> TruncSeries:
     t_data = TorusData.standard(n, k=n_order)
     universe = t_data.universe
     ones = {name: 1 for name in t_data.beta}
-    lhs = TruncSeries.const(universe, n_order, 1)
+    coeffs = [t_data.one()]
     for k in range(1, n_order + 1):
         coeff = mc_orbit_full(t_data, k).substitute(ones, universe)
-        lhs = lhs + (Fraction(1, math.factorial(k)) * coeff) \
-            * TruncSeries.t(universe, n_order) ** k
-    return lhs
+        coeffs.append(Fraction(1, math.factorial(k)) * coeff)
+    return TruncSeries(universe, n_order, coeffs)
 
 
 def check_orbit_full_series(n: int, n_order: int) -> bool:

@@ -11,6 +11,18 @@ from confchern.classes import (LocalClassData, ProjFixedPoint, TorusData,
                                mc_line_classes, mc_orbit_conf, mc_orbit_full,
                                psi, standard_universe)
 from confchern.laurent import RatFunc, VarUniverse
+from confchern.partitions import SetPartition, partition_sum
+
+
+def _one_block(k):
+    return SetPartition(k, [range(1, k + 1)])
+
+
+def _generic_definition(mcB, euTM, k):
+    """sum over set partitions P of [k] of a(P) mcB^|P| euTM^(k-|P|)."""
+    one = RatFunc.const(mcB.universe, 1)
+    return partition_sum(_one_block(k),
+                         lambda b: mcB * euTM ** (len(b) - 1), one)
 
 
 def test_line_classes():
@@ -63,6 +75,13 @@ def test_mc_conf_generic_small_k():
     assert mc_conf_generic(data, 3) == m ** 3 - 3 * m ** 2 * e + 2 * m * e ** 2
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_mc_conf_generic_matches_partition_sum(k):
+    data = _free_point_data()
+    assert mc_conf_generic(data, k) == \
+        _generic_definition(data.mcB, data.euTM, k)
+
+
 def test_local_class_data_rejects_zero_euler():
     u = VarUniverse(("m",))
     with pytest.raises(ValueError):
@@ -77,15 +96,17 @@ def test_mc_conf_affine_examples():
     assert mc_conf_affine(t1, 2) == line ** 2 - line * origin
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in (1, 2, 3, 4, 5)])
 def test_affine_equals_generic(n, k):
+    # the product formula against its partition-sum definition
     t = TorusData.standard(n)
     mcB = t.one()
     eu = t.one()
     for j in range(1, n + 1):
         mcB = mcB * (1 + t.y / t.a(j))
         eu = eu * (1 - 1 / t.a(j))
-    assert mc_conf_affine(t, k) == mc_conf_generic(LocalClassData(mcB, eu), k)
+    assert mc_conf_affine(t, k) == _generic_definition(mcB, eu, k)
 
 
 def test_mc_conf_proj_single_point():
@@ -107,6 +128,24 @@ def test_mc_conf_proj_coincident_pair():
     lam = 1 + t2.y * t2.a(1) / t2.a(2)
     mu = 1 - t2.a(1) / t2.a(2)
     assert mc_conf_proj_at(t2, ProjFixedPoint((1, 1))) == lam ** 2 - lam * mu
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_mc_conf_proj_matches_refinement_sum(n):
+    # sum over refinements P of the coincidence partition of
+    # a(P) prod_B lambda_y(i_B) lambda_{-1}(i_B)^(|B|-1)
+    t = TorusData.standard(n)
+    lam = {i: lambda_y_proj(t, i) for i in range(1, n + 1)}
+    for k in (1, 2, 3, 4):
+        for iota in product(range(1, n + 1), repeat=k):
+            e = ProjFixedPoint(iota)
+
+            def weight(block):
+                lam_y, lam_m1 = lam[iota[block[0] - 1]]
+                return lam_y * lam_m1 ** (len(block) - 1)
+
+            want = partition_sum(e.induced_partition(), weight, t.one())
+            assert mc_conf_proj_at(t, e) == want, iota
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -215,3 +254,10 @@ def test_caps():
         mc_conf_affine(t, 8)
     with pytest.raises(ValueError):
         TorusData.standard(7)
+    # k = 0 is rejected, not read as the empty product
+    with pytest.raises(ValueError):
+        mc_conf_affine(t, 0)
+    with pytest.raises(ValueError):
+        mc_conf_generic(_free_point_data(), 0)
+    with pytest.raises(ValueError):
+        TorusData.standard(0)

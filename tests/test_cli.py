@@ -66,12 +66,18 @@ def test_check_recursion(capsys):
     assert "4/4" in out
 
 
-def test_usage_error_exit_2(capsys):
-    # cap violation surfaces as exit code 2 with a message on stderr
-    code, _, err = run(["check", "--name", "s2", "--n", "9", "--N", "2"],
-                       capsys)
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "s2", "--n", "9", "--N", "2"],
+    ["check", "--name", "residue", "--alphas", "1/0"],
+    ["conf-affine", "--n", "-1", "--k", "2"],
+    ["conf-proj", "--n", "2", "--point", ""],
+], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point"])
+def test_usage_error_exit_2(argv, capsys):
+    # malformed input or a cap violation: exit code 2, a message on stderr
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_unknown_check_name_rejected(capsys):
@@ -85,10 +91,3 @@ def test_check_failure_exit_1(capsys, monkeypatch):
     code, out, _ = run(["check", "--name", "szeregi", "--N", "2"], capsys)
     assert code == 1
     assert out.strip().splitlines()[-1] == "FAIL"
-
-
-def test_parallel_flag_accepted(capsys):
-    code, out, _ = run(["conf-affine", "--n", "1", "--k", "1",
-                        "--parallel", "4"], capsys)
-    assert code == 0
-    assert out.strip()
