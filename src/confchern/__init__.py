@@ -14,8 +14,8 @@ from .classes import (LocalClassData, ProjFixedPoint, TorusData, euler_point,
 from .series import (PoleOrderError, TruncSeries, check_orbit_full_series,
                      check_orbit_series, check_partition_exp_identity,
                      check_point_series, check_point_series_ambient,
-                     check_residue_form, orbit_full_series, orbit_series_sides,
-                     residue_at, residue_form_factor)
+                     check_residue_form, orbit_full_series, orbit_series,
+                     orbit_series_sides, residue_at, residue_form_factor)
 from .limits import (LimitSpec, LimitUndefinedError, WeightedBundleSummand,
                      check_bb_stability, lambda_quotient, limit_lambda_quotient,
                      limit_map)

@@ -214,23 +214,38 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     in C^n, with per-point scaling weights b_1..b_k: the partition sum over
     set partitions P of [k] of a(P) * prod_{B in P} w(B), where
     w(B) = sum_i prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j)
-                 * prod_j prod_{a in B} psi(i, j, b_a a_j)."""
+                 * prod_{a in B} prod_j psi(i, j, b_a a_j)."""
     _check_k(k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
     if k == 0:
         return t.one()
 
+    # w(B) = sum_i L_i prod_{a in B} Psi_{i,a}; neither L_i (the product
+    # over j != i) nor Psi_{i,a} = prod_j psi(i, j, b_a a_j) depends on the
+    # block, so each is computed once
+    lead = []
+    psis = []
+    for i in range(1, t.n + 1):
+        prod = t.one()
+        for j in range(1, t.n + 1):
+            if j != i:
+                prod = prod * (1 + t.y * t.a(i) / t.a(j)) \
+                            / (1 - t.a(i) / t.a(j))
+        lead.append(prod)
+        row = {}
+        for a in range(1, k + 1):
+            acc = t.one()
+            for j in range(1, t.n + 1):
+                acc = acc * psi(t.universe, i, j, t.b(a) * t.a(j))
+            row[a] = acc
+        psis.append(row)
+
     def weight(block):
         acc = RatFunc.const(t.universe, 0)
-        for i in range(1, t.n + 1):
-            prod = t.one()
-            for j in range(1, t.n + 1):
-                if j != i:
-                    prod = prod * (1 + t.y * t.a(i) / t.a(j)) \
-                                / (1 - t.a(i) / t.a(j))
-                for a in block:
-                    prod = prod * psi(t.universe, i, j, t.b(a) * t.a(j))
+        for prod, row in zip(lead, psis):
+            for a in block:
+                prod = prod * row[a]
             acc = acc + prod
         return acc
 

@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--alphas", type=str, default="2,3")
+    p.add_argument("--alphas", type=str, default="2,3",
+                   help="comma-separated rationals, e.g. 2,1/2; when the "
+                        "first is negative write --alphas=-2,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=200)
     common(p)

@@ -366,37 +366,47 @@ class LaurentPoly:
         return acc
 
 
-def _lead_key(p: LaurentPoly) -> tuple:
-    return max(p.terms)
-
-
 def _exact_div(p: LaurentPoly, f: LaurentPoly):
     """Quotient p/f if f divides p exactly (up to monomials), else None.
 
     Monomial factors always divide in the Laurent ring, so divisibility is
-    tested after shifting both operands to nonnegative exponents.
+    tested after shifting both operands to nonnegative exponents.  The
+    remainder lives in one dict that each step updates in place: the
+    lex-leading term is cancelled against f's leading term, and only the
+    terms that f's other terms touch are rewritten.
     """
     if p.is_zero():
         return p
     u = p.universe
-    p_shift = {n: -p.min_exp(n) for n in u}
-    f_shift = {n: -f.min_exp(n) for n in u}
-    rem = p.shift(p_shift)
-    f0 = f.shift(f_shift)
-    lead = _lead_key(f0)
-    lead_c = f0.terms[lead]
-    quot: dict = {}
-    while not rem.is_zero():
-        top = _lead_key(rem)
+    nvars = len(u)
+    p_low = [min(e[i] for e in p.terms) for i in range(nvars)]
+    f_low = [min(e[i] for e in f.terms) for i in range(nvars)]
+    rem = {tuple(x - m for x, m in zip(e, p_low)): c
+           for e, c in p.terms.items()}
+    f0 = {tuple(x - m for x, m in zip(e, f_low)): c
+          for e, c in f.terms.items()}
+    lead = max(f0)
+    lead_c = f0.pop(lead)
+    rest = list(f0.items())
+    quot = []
+    while rem:
+        top = max(rem)
         q_exps = tuple(a - b for a, b in zip(top, lead))
-        if any(e < 0 for e in q_exps):
+        if any(x < 0 for x in q_exps):
             return None
-        q_c = rem.terms[top] / lead_c
-        quot[q_exps] = q_c
-        rem = rem - LaurentPoly(u, {q_exps: q_c}) * f0
-    # undo the shifts: p/f = x^(f_shift - p_shift) * (p0/f0)
-    back = {n: f_shift[n] - p_shift[n] for n in u}
-    return LaurentPoly(u, quot).shift(back)
+        q_c = rem.pop(top) / lead_c
+        quot.append((q_exps, q_c))
+        for e, c in rest:
+            key = tuple(a + b for a, b in zip(q_exps, e))
+            s = rem.get(key, 0) - q_c * c
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    # undo the shifts: p/f = x^(p_low - f_low) * (p0/f0)
+    back = [a - b for a, b in zip(p_low, f_low)]
+    return LaurentPoly(u, {tuple(x + d for x, d in zip(q, back)): c
+                           for q, c in quot})
 
 
 def _normalize_den(den: LaurentPoly):
@@ -410,7 +420,7 @@ def _normalize_den(den: LaurentPoly):
         c = den0.terms[(0,) * len(u)]
         mono = LaurentPoly(u, {tuple(s[n] for n in u): Fraction(1) / c})
         return mono, None
-    c = den0.terms[_lead_key(den0)]
+    c = den0.terms[max(den0.terms)]
     mono = LaurentPoly(u, {tuple(s[n] for n in u): Fraction(1) / c})
     return mono, den0 * (Fraction(1) / c)
 
@@ -508,10 +518,9 @@ class RatFunc:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _over_common_den(self, other):
+        """Both numerators over the smallest common multiset of factors:
+        (self.num * extra, other.num * extra', merged factors)."""
         _check_same(self, other)
         merged = dict(self._factors)
         for f, power in other._factors.items():
@@ -527,6 +536,13 @@ class RatFunc:
             extra = power - other._factors.get(f, 0)
             if extra:
                 right = right * f ** extra
+        return left, right, merged
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        left, right, merged = self._over_common_den(other)
         return RatFunc._make(left + right, merged)._reduced()
 
     __radd__ = __add__
@@ -538,10 +554,14 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        left, right, merged = self._over_common_den(other)
+        return RatFunc._make(left - right, merged)._reduced()
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -14,6 +14,10 @@ from .partitions import SetPartition, partition_sum
 from .classes import (TorusData, euler_point, lambda_y_proj, mc_orbit_conf,
                       mc_orbit_full, euler_point_beta)
 
+# largest order the partition-sum series checks accept: their left sides
+# enumerate the Bell(N) set partitions of [N]
+ORDER_CAP = 7
+
 
 class TruncSeries:
     """Power series in t truncated (inclusively) at a fixed order."""
@@ -162,6 +166,11 @@ def _partition_series(universe: VarUniverse, n_order: int,
         for k in range(1, n_order + 1)])
 
 
+def _check_order(n_order: int):
+    if n_order > ORDER_CAP:
+        raise ValueError("order capped at %d" % ORDER_CAP)
+
+
 def check_partition_exp_identity(n_order: int) -> bool:
     """Master identity: the partition sum with one free symbol per block
     size equals exp of the alternating-harmonic combination.
@@ -171,8 +180,7 @@ def check_partition_exp_identity(n_order: int) -> bool:
     against exp(sum_u (-1)^(u-1) x_u t^u / u), coefficient-wise.
     Truth here is a polynomial identity in x_1..x_N.
     """
-    if n_order > 7:
-        raise ValueError("order capped at 7")
+    _check_order(n_order)
     universe = VarUniverse(tuple("x%d" % u for u in range(1, n_order + 1)))
 
     def x(u):
@@ -188,6 +196,7 @@ def check_point_series(n_order: int) -> bool:
     """Point-restriction series with one free symbol for the localized
     subvariety class: 1 + sum_k (t^k/k!) sum_P a(P) m^|P| against
     exp(m * log(1+t))."""
+    _check_order(n_order)
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     lhs = _partition_series(universe, n_order, lambda b: m)
@@ -199,6 +208,7 @@ def check_point_series(n_order: int) -> bool:
 def check_point_series_ambient(n_order: int) -> bool:
     """Two-symbol diagonal form: 1 + sum_k (t^k/k!) sum_P a(P) m^|P|
     e^(k-|P|) against exp(m * log(1 + t e)/e)."""
+    _check_order(n_order)
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     e = RatFunc.var(universe, "e")
@@ -211,25 +221,34 @@ def check_point_series_ambient(n_order: int) -> bool:
     return lhs == TruncSeries(universe, n_order, arg).exp()
 
 
-def orbit_series_sides(n: int, n_order: int):
-    """Both sides of the orbit-configuration generating series, as truncated
-    series over the weight universe (scaling weights specialized to 1)."""
+def orbit_series(n: int, n_order: int) -> TruncSeries:
+    """Exponential series of the orbit-configuration classes, over the
+    weight universe (scaling weights specialized to 1)."""
     t_data = TorusData.standard(n, k=n_order)
     universe = t_data.universe
     ones = {name: 1 for name in t_data.beta}
-    lhs = [t_data.one()]
+    coeffs = [t_data.one()]
     for k in range(1, n_order + 1):
         cls = mc_orbit_conf(t_data, k).substitute(ones, universe)
-        lhs.append(Fraction(1, math.factorial(k))
-                   * (cls / euler_point(t_data, k)))
+        coeffs.append(Fraction(1, math.factorial(k))
+                      * (cls / euler_point(t_data, k)))
+    return TruncSeries(universe, n_order, coeffs)
 
+
+def orbit_series_sides(n: int, n_order: int):
+    """Both sides of the orbit-configuration generating series: the class
+    series `orbit_series` and the product over fixed points of exp-log
+    factors, as truncated series over the weight universe."""
+    lhs = orbit_series(n, n_order)
+    t_data = TorusData.standard(n, k=n_order)
+    universe = lhs.universe
     rhs = TruncSeries.const(universe, n_order, 1)
     one_plus_y = 1 + t_data.y
     for i in range(1, n + 1):
         lam_y, lam_m1 = lambda_y_proj(t_data, i)
         arg = (one_plus_y / (t_data.a(i) - 1)) * TruncSeries.t(universe, n_order)
         rhs = rhs * ((lam_y / lam_m1) * arg.log1p()).exp()
-    return TruncSeries(universe, n_order, lhs), rhs
+    return lhs, rhs
 
 
 def check_orbit_series(n: int, n_order: int) -> bool:
@@ -262,7 +281,7 @@ def check_orbit_full_series(n: int, n_order: int) -> bool:
     (1+t)*f form reproduces.)
     """
     lhs = orbit_full_series(n, n_order)
-    f, _ = orbit_series_sides(n, n_order)
+    f = orbit_series(n, n_order)
     one_plus_t = TruncSeries.const(f.universe, n_order, 1) \
         + TruncSeries.t(f.universe, n_order)
     return lhs == one_plus_t * f

@@ -71,7 +71,10 @@ def test_check_recursion(capsys):
     ["check", "--name", "residue", "--alphas", "1/0"],
     ["conf-affine", "--n", "-1", "--k", "2"],
     ["conf-proj", "--n", "2", "--point", ""],
-], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point"])
+    ["check", "--name", "s1", "--N", "8"],
+    ["check", "--name", "s3-point", "--N", "8"],
+], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point",
+        "s1-order-cap", "s3-point-order-cap"])
 def test_usage_error_exit_2(argv, capsys):
     # malformed input or a cap violation: exit code 2, a message on stderr
     code, out, err = run(argv, capsys)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confchern.laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
-                               VarUniverse, ZeroDenominatorError, rf_eq)
+                               VarUniverse, ZeroDenominatorError, _exact_div,
+                               rf_eq)
 
 U = VarUniverse(("a1", "a2", "y"))
 
@@ -264,3 +265,46 @@ def test_substitute_commutes_with_arithmetic(f, g):
 def test_poly_serialization_round_trip(p):
     assert LaurentPoly.parse(U, str(p)) == p
     assert LaurentPoly.from_json_terms(U, p.to_json_terms()) == p
+
+
+# -- exact division ----------------------------------------------------------
+
+def _shifted(p):
+    """Exponent dict of p times the monomial that makes every minimum 0."""
+    low = [min(e[i] for e in p.terms) for i in range(len(p.universe))]
+    return {tuple(x - m for x, m in zip(e, low)): c for e, c in p.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_polys, nonzero_polys)
+def test_exact_div_recovers_quotient(q, f):
+    assert _exact_div(q * f, f) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), nonzero_polys, nonzero_polys, st.booleans())
+def test_exact_div_result_is_quotient(p, q, f, multiple):
+    if multiple:
+        p = q * f
+    r = _exact_div(p, f)
+    if r is not None:
+        assert r * f == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_polys, nonzero_polys, nonzero_polys, st.booleans())
+def test_exact_div_none_iff_sympy_remainder(p, q, f, multiple):
+    # f divides p in the Laurent ring exactly when the polynomial division
+    # of the shifted p by the shifted f leaves no remainder
+    sympy = pytest.importorskip("sympy")
+    if multiple:
+        p = q * f
+    gens = sympy.symbols(U.names)
+
+    def to_sympy(terms):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in terms.items()}, *gens, domain=sympy.QQ)
+
+    _, rem = sympy.div(to_sympy(_shifted(p)), to_sympy(_shifted(f)))
+    assert (_exact_div(p, f) is None) == (not rem.is_zero)

@@ -1,0 +1,25 @@
+"""The benchmark's traced runs must stay correct: every span it requires
+records calls, and every case's output passes its oracle.  A library change
+that leaves a required span without a caller fails here, not only in a
+benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("workload", ["classes", "series"])
+def test_traced_run_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", workload, "--seed", "1", "--seconds", "1",
+         "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True

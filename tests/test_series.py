@@ -11,8 +11,9 @@ from confchern.series import (PoleOrderError, TruncSeries,
                               check_orbit_full_series, check_orbit_series,
                               check_partition_exp_identity, check_point_series,
                               check_point_series_ambient, check_residue_form,
-                              orbit_full_series, orbit_series_sides,
-                              residue_at, residue_form_factor)
+                              orbit_full_series, orbit_series,
+                              orbit_series_sides, residue_at,
+                              residue_form_factor)
 
 U = VarUniverse(("c", "y"))
 
@@ -107,6 +108,14 @@ def test_point_series_small(n_order):
     assert check_point_series_ambient(n_order)
 
 
+@pytest.mark.parametrize("check", [check_partition_exp_identity,
+                                   check_point_series,
+                                   check_point_series_ambient])
+def test_partition_series_order_cap(check):
+    with pytest.raises(ValueError, match="order capped at 7"):
+        check(8)
+
+
 def test_point_series_t2_coefficient():
     # direct hand value of the t^2 coefficient: (m^2 - m e)/2
     universe = VarUniverse(("m", "e"))
@@ -145,7 +154,7 @@ def test_orbit_full_series_small(n, N):
 def test_orbit_full_literal_derivative_form_is_false():
     # the f + t*f' reading of the vanishing-allowed series does not hold;
     # the decomposition forces (1+t)*f instead (see check_orbit_full_series)
-    f, _ = orbit_series_sides(1, 2)
+    f = orbit_series(1, 2)
     lhs = orbit_full_series(1, 2)
     derivative_form = TruncSeries(f.universe, 2,
                                   [(1 + u) * c for u, c in enumerate(f.coeffs)])
