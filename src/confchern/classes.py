@@ -7,10 +7,10 @@ extra symbols a caller needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from .laurent import LaurentPoly, RatFunc, VarUniverse
+from .laurent import RatFunc, VarUniverse
 from .partitions import SetPartition, partition_sum
 
 N_CAP = 6
@@ -215,11 +215,11 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     set partitions P of [k] of a(P) * prod_{B in P} w(B), where
     w(B) = sum_i prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j)
                  * prod_{a in B} prod_j psi(i, j, b_a a_j)."""
+    if k < 1:
+        raise ValueError("k must be positive")
     _check_k(k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
-    if k == 0:
-        return t.one()
 
     # w(B) = sum_i L_i prod_{a in B} Psi_{i,a}; neither L_i (the product
     # over j != i) nor Psi_{i,a} = prod_j psi(i, j, b_a a_j) depends on the

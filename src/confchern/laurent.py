@@ -223,12 +223,6 @@ class LaurentPoly:
         i = self.universe.index(name)
         return min(e[i] for e in self.terms)
 
-    def max_exp(self, name: str) -> int:
-        if not self.terms:
-            return 0
-        i = self.universe.index(name)
-        return max(e[i] for e in self.terms)
-
     def shift(self, exps: Mapping[str, int]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponents."""
         vec = [0] * len(self.universe)
@@ -591,11 +585,8 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDenominatorError("division by zero rational function")
         scaled, factor = _normalize_den(self.num)
-        num = LaurentPoly.const(self.universe, 1)
-        for f, power in self._factors.items():
-            num = num * f ** power
-        num = num * scaled
-        return RatFunc._make(num, {factor: 1} if factor is not None else {})
+        return RatFunc._make(self.den * scaled,
+                             {factor: 1} if factor is not None else {})
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -609,18 +600,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _check_same(self, other)
         # cross-multiply, skipping factors shared by both denominators
-        left = self.num
-        for f, power in other._factors.items():
-            extra = power - min(power, self._factors.get(f, 0))
-            if extra:
-                left = left * f ** extra
-        right = other.num
-        for f, power in self._factors.items():
-            extra = power - min(power, other._factors.get(f, 0))
-            if extra:
-                right = right * f ** extra
+        left, right, _ = self._over_common_den(other)
         return left == right
 
     def __hash__(self):

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
-from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError, VarUniverse,
-                      ZeroDenominatorError)
+from .laurent import LaurentPoly, RatFunc, UniverseMismatchError, VarUniverse
 from .partitions import SetPartition, partition_sum
 from .classes import (TorusData, euler_point, lambda_y_proj, mc_orbit_conf,
-                      mc_orbit_full, euler_point_beta)
+                      mc_orbit_full)
 
 # largest order the partition-sum series checks accept: their left sides
 # enumerate the Bell(N) set partitions of [N]
@@ -291,72 +290,23 @@ def check_orbit_full_series(n: int, n_order: int) -> bool:
 # Residues
 # ---------------------------------------------------------------------------
 
-def _univariate_in(f: RatFunc, name: str):
-    """Split a rational function into coefficient lists along one variable.
-
-    Returns (num, den) as lists of variable-free-in-`name` RatFunc
-    coefficients indexed by degree; both are genuine polynomials in `name`.
-    """
-    shift = min(f.num.min_exp(name), 0)
-    num = f.num.shift({name: -shift})
-    den = f.den.shift({name: -shift})
-
-    def coeffs(p: LaurentPoly):
-        top = p.max_exp(name)
-        return [RatFunc(p.coeff_of(name, d)) for d in range(top + 1)]
-
-    return coeffs(num), coeffs(den)
-
-
-def _poly_eval(coeffs: List[RatFunc], point: RatFunc) -> RatFunc:
-    acc = RatFunc.const(point.universe, 0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
-
-
-def _poly_deriv(coeffs: List[RatFunc]) -> List[RatFunc]:
-    return [d * c for d, c in enumerate(coeffs)][1:] or \
-        [RatFunc.const(coeffs[0].universe, 0)]
-
-def _poly_mul(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
-    universe = a[0].universe
-    out = [RatFunc.const(universe, 0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, z in enumerate(b):
-            out[i + j] = out[i + j] + x * z
-    return out
-
-
-def _poly_sub(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
-    universe = a[0].universe
-    n = max(len(a), len(b))
-    pad = lambda p: p + [RatFunc.const(universe, 0)] * (n - len(p))
-    return [x - z for x, z in zip(pad(a), pad(b))]
-
-
-def _deflate(coeffs: List[RatFunc], root: RatFunc):
-    """Divide out (z - root) as often as it is an exact factor.
-
-    Returns (multiplicity, quotient coefficients)."""
-    mult = 0
-    while len(coeffs) > 1 or not coeffs[0].is_zero():
-        # synthetic division by (z - root)
-        quot = [RatFunc.const(root.universe, 0)] * (len(coeffs) - 1)
-        carry = RatFunc.const(root.universe, 0)
-        for d in range(len(coeffs) - 1, -1, -1):
-            if d > 0:
-                quot[d - 1] = coeffs[d] + carry
-                carry = quot[d - 1] * root
+def _translate(p: LaurentPoly, name: str, c: Fraction) -> LaurentPoly:
+    """p with `name` replaced by `name` + c, for p without negative powers of
+    `name`: each term's power of `name` is expanded by the binomial theorem."""
+    if not c:
+        return p
+    i = p.universe.index(name)
+    terms: dict = {}
+    for e, coeff in p.terms.items():
+        d = e[i]
+        for j in range(d + 1):
+            key = e[:i] + (j,) + e[i + 1:]
+            s = terms.get(key, 0) + coeff * math.comb(d, j) * c ** (d - j)
+            if s:
+                terms[key] = s
             else:
-                rem = coeffs[0] + carry
-        if not rem.is_zero():
-            break
-        coeffs = quot if quot else [RatFunc.const(root.universe, 0)]
-        mult += 1
-        if len(coeffs) == 1 and coeffs[0].is_zero():
-            break
-    return mult, coeffs
+                terms.pop(key, None)
+    return LaurentPoly(p.universe, terms)
 
 
 class PoleOrderError(ValueError):
@@ -367,37 +317,35 @@ def residue_at(f: RatFunc, var: str, pole: Fraction, max_order: int = 8) -> RatF
     """Coefficient of 1/(var - pole) in the Laurent expansion of f.
 
     The function must be rational in `var`; remaining variables ride along
-    in the coefficient field.  Higher-order poles are handled via the
-    derivative formula on the regularized function.
+    in the coefficient field.  The pole is moved to the origin (var ->
+    var + pole), and the residue is read off the quotient of the two
+    translated polynomials by solving a triangular system.
     """
-    universe = f.universe
-    p = RatFunc.const(universe, pole)
-    num, den = _univariate_in(f, var)
-    m_den, den = _deflate(den, p)
-    m_num, num = _deflate(num, p)
-    cancel = min(m_num, m_den)
-    m = m_den - cancel
-    if m_num > m_den:
-        # extra zero factors in the numerator: restore them
-        lin = [-p, RatFunc.const(universe, 1)]
-        for _ in range(m_num - m_den):
-            num = _poly_mul(num, lin)
-    if m == 0:
-        return RatFunc.const(universe, 0)
+    # var^s * f.num and var^s * f.den are genuine polynomials in var
+    s = max(0, -f.num.min_exp(var))
+    num = _translate(f.num.shift({var: s}), var, pole)
+    den = _translate(f.den.shift({var: s}), var, pole)
+    zero = RatFunc.const(f.universe, 0)
+    if num.is_zero():
+        return zero
+    a = num.min_exp(var)
+    b = den.min_exp(var)
+    m = b - a
+    if m <= 0:
+        return zero
     if m > max_order:
         raise PoleOrderError("pole order %d exceeds max_order %d" % (m, max_order))
-    # h = num/den is regular at the pole; residue = h^(m-1)(pole)/(m-1)!
-    for _ in range(m - 1):
-        num, den = (
-            _poly_sub(_poly_mul(_poly_deriv(num), den),
-                      _poly_mul(num, _poly_deriv(den))),
-            _poly_mul(den, den),
-        )
-    val_den = _poly_eval(den, p)
-    if val_den.is_zero():
-        raise ZeroDenominatorError("residual zero denominator at the pole")
-    value = _poly_eval(num, p) / val_den
-    return Fraction(1, math.factorial(m - 1)) * value
+    # f = var^-m * (sum_j N_{a+j} var^j) / (sum_j D_{b+j} var^j) with
+    # D_b != 0; the quotient's coefficients c_j satisfy
+    # sum_{i<=j} c_i D_{b+j-i} = N_{a+j}, and the residue is c_{m-1}
+    d = [RatFunc(den.coeff_of(var, b + j)) for j in range(m)]
+    c = []
+    for j in range(m):
+        acc = RatFunc(num.coeff_of(var, a + j))
+        for i in range(j):
+            acc = acc - c[i] * d[j - i]
+        c.append(acc / d[0])
+    return c[-1]
 
 
 def residue_form_factor(universe: VarUniverse, alphas: Sequence[Fraction],

@@ -260,4 +260,6 @@ def test_caps():
     with pytest.raises(ValueError):
         mc_conf_generic(_free_point_data(), 0)
     with pytest.raises(ValueError):
+        mc_orbit_conf(TorusData.standard(1, k=1), 0)
+    with pytest.raises(ValueError):
         TorusData.standard(0)

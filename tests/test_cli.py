@@ -73,8 +73,9 @@ def test_check_recursion(capsys):
     ["conf-proj", "--n", "2", "--point", ""],
     ["check", "--name", "s1", "--N", "8"],
     ["check", "--name", "s3-point", "--N", "8"],
+    ["orbit", "--n", "2", "--k", "0"],
 ], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point",
-        "s1-order-cap", "s3-point-order-cap"])
+        "s1-order-cap", "s3-point-order-cap", "orbit-k-zero"])
 def test_usage_error_exit_2(argv, capsys):
     # malformed input or a cap violation: exit code 2, a message on stderr
     code, out, err = run(argv, capsys)

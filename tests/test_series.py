@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confchern.laurent import RatFunc, VarUniverse, ZeroDenominatorError
+from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.series import (PoleOrderError, TruncSeries,
                               check_orbit_full_series, check_orbit_series,
                               check_partition_exp_identity, check_point_series,
@@ -195,6 +195,98 @@ def test_residue_order_cap():
     f = 1 / (_z() - 2) ** 3
     with pytest.raises(PoleOrderError):
         residue_at(f, "z", Fraction(2), max_order=2)
+
+
+def _zp(c0, c1=0):
+    """c0 + c1*z as a polynomial, so that quotients built from it keep their
+    common factors instead of cancelling them on construction."""
+    return (LaurentPoly.const(ZU, c0)
+            + LaurentPoly.var(ZU, "z") * Fraction(c1))
+
+
+def test_residue_numerator_zero_at_pole():
+    assert residue_at(RatFunc(_zp(-2, 1), _zp(-2, 1) ** 2),
+                      "z", Fraction(2)) == 1
+    assert residue_at(RatFunc(_zp(-2, 1) ** 3, _zp(-2, 1) ** 2),
+                      "z", Fraction(2)) == 0
+
+
+def test_residue_double_pole_at_origin():
+    f = RatFunc(_zp(1, 1), _zp(0, 1) ** 2)
+    assert residue_at(f, "z", Fraction(0)) == 1
+    with pytest.raises(PoleOrderError):
+        residue_at(f, "z", Fraction(0), max_order=1)
+
+
+def test_residue_double_pole_examples():
+    f = RatFunc(_zp(1), _zp(-1, 1) ** 2 * _zp(1, 1))
+    assert residue_at(f, "z", Fraction(1)) == Fraction(-1, 4)
+    y = LaurentPoly.var(ZU, "y")
+    f = RatFunc(1 + y * LaurentPoly.var(ZU, "z"), _zp(-1, 1) ** 2 * (1 + y))
+    yr = RatFunc(y)
+    assert residue_at(f, "z", Fraction(1)) == yr / (1 + yr)
+
+
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def residue_cases(draw):
+    """(f, points): f = c * prod(linear factors) * prod(z - zero) * z^e
+    / prod(((z - r)(1 + y))^k), with numerator zeros drawn among the poles;
+    the points are the poles, 0 and one more."""
+    poles = draw(st.lists(_coef, min_size=1, max_size=2))
+    orders = draw(st.lists(st.integers(1, 3), min_size=len(poles),
+                           max_size=len(poles)))
+    zeros = draw(st.lists(st.sampled_from(poles), max_size=2))
+    linear = draw(st.lists(st.tuples(_coef, _coef, _coef), max_size=2))
+    e = draw(st.integers(-2, 2))
+    points = sorted(set(poles) | {Fraction(0), draw(_coef)})
+    return poles, orders, zeros, linear, draw(_coef), e, points
+
+
+Y_AT = Fraction(7, 3)
+
+
+def _sympy_residue(sp, expr, z, p):
+    """Residue of a rational function of z at p: cancel, divide out (z - p)
+    to find the pole order m, then the derivative formula at p."""
+    num, den = sp.fraction(sp.cancel(expr))
+    m = 0
+    while True:
+        quo, rem = sp.div(den, z - p, z)
+        if rem != 0:
+            break
+        den, m = quo, m + 1
+    if m == 0:
+        return sp.Integer(0)
+    return sp.diff(num / den, z, m - 1).subs(z, p) / sp.factorial(m - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(residue_cases())
+def test_residue_matches_sympy(case):
+    sp = pytest.importorskip("sympy")
+    poles, orders, zeros, linear, scale, e, points = case
+    sy, sz = sp.symbols("y z")
+    y, z = RatFunc.var(ZU, "y"), RatFunc.var(ZU, "z")
+
+    def q(x):
+        return sp.Rational(x.numerator, x.denominator)
+
+    f, expr = scale * z ** e, q(scale) * sz ** e
+    for a, b, c in linear:
+        f = f * (a + b * z + c * y)
+        expr = expr * (q(a) + q(b) * sz + q(c) * sy)
+    for r in zeros:
+        f, expr = f * (z - r), expr * (sz - q(r))
+    for r, k in zip(poles, orders):
+        f = f / ((z - r) * (1 + y)) ** k
+        expr = expr / ((sz - q(r)) * (1 + sy)) ** k
+    expr = expr.subs(sy, q(Y_AT))
+    for p in points:
+        ours = residue_at(f, "z", p).substitute({"y": Y_AT}).const_value()
+        assert q(ours) == _sympy_residue(sp, expr, sz, q(p))
 
 
 def test_residue_form_factor_t1():
