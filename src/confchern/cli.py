@@ -179,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--alphas", type=str, default="2,3",
-                   help="comma-separated rationals, e.g. 2,1/2; when the "
-                        "first is negative write --alphas=-2,3")
+                   help="comma-separated rationals, e.g. 2,1/2 or -2,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=200)
     common(p)
@@ -190,6 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value with a leading minus, such as -2,3, as an
+    # option; bound to the option with `=` it is read as its value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--alphas" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = ["--alphas=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     if getattr(args, "name", None):
         for key, value in _CHECK_DEFAULTS[args.name].items():

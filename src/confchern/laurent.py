@@ -7,6 +7,7 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -242,29 +243,39 @@ class LaurentPoly:
                 terms[e[:i] + (0,) + e[i + 1:]] = c
         return LaurentPoly(self.universe, terms)
 
-    def degrees_of(self, name: str) -> list:
-        i = self.universe.index(name)
-        return sorted({e[i] for e in self.terms})
-
-    def derivative(self, name: str) -> "LaurentPoly":
+    def translate(self, name: str, c: Scalar) -> "LaurentPoly":
+        """`name` replaced by `name` + c, for a polynomial without negative
+        powers of `name`: each term's power is expanded by the binomial
+        theorem."""
+        c = _as_fraction(c)
+        if not c:
+            return self
         i = self.universe.index(name)
         terms: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            exps = e[:i] + (e[i] - 1,) + e[i + 1:]
-            s = terms.get(exps, 0) + c * e[i]
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
+        for e, coeff in self.terms.items():
+            d = e[i]
+            for j in range(d + 1):
+                key = e[:i] + (j,) + e[i + 1:]
+                s = terms.get(key, 0) + coeff * math.comb(d, j) * c ** (d - j)
+                if s:
+                    terms[key] = s
+                else:
+                    terms.pop(key, None)
         return LaurentPoly(self.universe, terms)
 
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object],
-                   universe: VarUniverse = None) -> "RatFunc":
-        """Simultaneous substitution; unbound variables carry over by name."""
+                   universe: VarUniverse = None) -> "LaurentPoly":
+        """Simultaneous monomial substitution.
+
+        Each bound variable goes to a constant or to c * monomial: an int,
+        a Fraction, a LaurentPoly with at most one term, or a RatFunc with
+        no denominator factors and at most one numerator term.  Unbound
+        variables carry over by name into the target universe, which must
+        contain them: `universe`, else that of the first polynomial
+        binding, else ours.
+        """
         target = universe
         if target is None:
             for v in bindings.values():
@@ -273,32 +284,28 @@ class LaurentPoly:
                     break
             else:
                 target = self.universe
-        values = {}
-        for name, v in bindings.items():
+        for name in bindings:
             self.universe.index(name)  # raises on unknown variable
-            if isinstance(v, RatFunc):
-                if v.universe != target:
-                    raise UniverseMismatchError("binding universes disagree")
-                values[name] = v
-            elif isinstance(v, LaurentPoly):
-                if v.universe != target:
-                    raise UniverseMismatchError("binding universes disagree")
-                values[name] = RatFunc(v)
-            else:
-                values[name] = RatFunc(LaurentPoly.const(target, _as_fraction(v)))
-        result = RatFunc(LaurentPoly.zero(target))
-        one = RatFunc(LaurentPoly.const(target, 1))
+        # image of each variable: (coefficient, [(target index, exponent)])
+        images = [_monomial_image(name, bindings[name], target)
+                  if name in bindings else (1, [(target.index(name), 1)])
+                  for name in self.universe.names]
+        terms: dict = {}
         for exps, coeff in self.terms.items():
-            term = RatFunc(LaurentPoly.const(target, coeff))
-            for name, e in zip(self.universe.names, exps):
-                if e == 0:
+            vec = [0] * len(target)
+            for e, (c, mono) in zip(exps, images):
+                if not e:
                     continue
-                if name in values:
-                    term = term * values[name] ** e
-                else:
-                    term = term * RatFunc(LaurentPoly.var(target, name, e))
-            result = result + term
-        return result
+                if c != 1:
+                    if not c and e < 0:
+                        raise ZeroDenominatorError(
+                            "substituting 0 into a negative power")
+                    coeff = coeff * c ** e
+                for j, x in mono:
+                    vec[j] += x * e
+            key = tuple(vec)
+            terms[key] = terms.get(key, 0) + coeff
+        return LaurentPoly(target, terms)  # drops the zero sums
 
     # -- rendering ---------------------------------------------------------
 
@@ -358,6 +365,23 @@ class LaurentPoly:
                     exps[f] = 1
             acc = acc + cls.monomial(universe, exps, coeff)
         return acc
+
+
+def _monomial_image(name: str, value, universe: VarUniverse):
+    """A substitution binding as (coefficient, [(index, exponent)])."""
+    if isinstance(value, (int, Fraction)):
+        return _as_fraction(value), []
+    if isinstance(value, RatFunc) and not value._factors:
+        value = value.num
+    if isinstance(value, LaurentPoly) and len(value.terms) <= 1:
+        if value.universe != universe:
+            raise UniverseMismatchError("binding universes disagree")
+        if value.is_zero():
+            return Fraction(0), []
+        [(exps, c)] = value.terms.items()
+        return c, [(j, x) for j, x in enumerate(exps) if x]
+    raise ValueError("binding for %r is not a constant or c * monomial: %r"
+                     % (name, value))
 
 
 def _exact_div(p: LaurentPoly, f: LaurentPoly):
@@ -609,25 +633,17 @@ class RatFunc:
 
     # -- misc --------------------------------------------------------------
 
-    def derivative(self, name: str) -> "RatFunc":
-        # d(n/d) = n'/d - (n/d) * d'/d, applied factor by factor
-        result = RatFunc._make(self.num.derivative(name), self._factors)
-        for f, power in self._factors.items():
-            df = f.derivative(name)
-            if df.is_zero():
-                continue
-            result = result - power * self * RatFunc(df, f)
-        return result
-
     def substitute(self, bindings: Mapping[str, object],
                    universe: VarUniverse = None) -> "RatFunc":
-        result = self.num.substitute(bindings, universe)
+        """Monomial substitution (see LaurentPoly.substitute) applied to
+        the numerator and to each denominator factor."""
+        result = RatFunc(self.num.substitute(bindings, universe))
         for f, power in self._factors.items():
             fs = f.substitute(bindings, universe)
             if fs.is_zero():
                 raise ZeroDenominatorError(
                     "substitution vanishes on the denominator")
-            result = result * fs ** (-power)
+            result = result * RatFunc(fs) ** (-power)
         return result
 
     def const_value(self) -> Fraction:

@@ -27,12 +27,6 @@ class LimitSpec:
             raise ValueError("unknown direction %r" % self.direction)
 
 
-def _flip(p: LaurentPoly, name: str) -> LaurentPoly:
-    i = p.universe.index(name)
-    return LaurentPoly(p.universe,
-                       {e[:i] + (-e[i],) + e[i + 1:]: c for e, c in p.terms.items()})
-
-
 def limit_map(f: RatFunc, spec: LimitSpec) -> RatFunc:
     """Zeroth-order part of an admissible fraction in the limit variable.
 
@@ -44,7 +38,8 @@ def limit_map(f: RatFunc, spec: LimitSpec) -> RatFunc:
     f.universe.index(s)
     num, den = f.num, f.den
     if spec.direction == "inverse_to_zero":
-        num, den = _flip(num, s), _flip(den, s)
+        flip = {s: LaurentPoly.var(f.universe, s, -1)}
+        num, den = num.substitute(flip), den.substitute(flip)
     # best-effort monomial content cancellation before the syntactic test
     shift = {}
     for name in f.universe:
@@ -143,15 +138,14 @@ _PROP_UNIVERSE = VarUniverse(("a1", "y", "s"))
 def _random_poly(rng, min_s: int = 0, require_s0: bool = False) -> LaurentPoly:
     from fractions import Fraction
     while True:
-        terms = {}
+        p = LaurentPoly.zero(_PROP_UNIVERSE)
         for _ in range(rng.randint(1, 4)):
             e_a = rng.randint(-2, 2)
             e_y = rng.randint(0, 2)
             e_s = rng.randint(min_s, min_s + 3)
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            if c:
-                terms[(e_a, e_y, e_s)] = terms.get((e_a, e_y, e_s), 0) + c
-        p = LaurentPoly(_PROP_UNIVERSE, terms)
+            p = p + LaurentPoly.monomial(_PROP_UNIVERSE,
+                                         {"a1": e_a, "y": e_y, "s": e_s}, c)
         if p.is_zero():
             continue
         if require_s0 and p.coeff_of("s", 0).is_zero():

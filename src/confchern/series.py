@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly, RatFunc, UniverseMismatchError, VarUniverse
+from .laurent import RatFunc, UniverseMismatchError, VarUniverse
 from .partitions import SetPartition, partition_sum
 from .classes import (TorusData, euler_point, lambda_y_proj, mc_orbit_conf,
                       mc_orbit_full)
@@ -290,25 +290,6 @@ def check_orbit_full_series(n: int, n_order: int) -> bool:
 # Residues
 # ---------------------------------------------------------------------------
 
-def _translate(p: LaurentPoly, name: str, c: Fraction) -> LaurentPoly:
-    """p with `name` replaced by `name` + c, for p without negative powers of
-    `name`: each term's power of `name` is expanded by the binomial theorem."""
-    if not c:
-        return p
-    i = p.universe.index(name)
-    terms: dict = {}
-    for e, coeff in p.terms.items():
-        d = e[i]
-        for j in range(d + 1):
-            key = e[:i] + (j,) + e[i + 1:]
-            s = terms.get(key, 0) + coeff * math.comb(d, j) * c ** (d - j)
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return LaurentPoly(p.universe, terms)
-
-
 class PoleOrderError(ValueError):
     pass
 
@@ -323,8 +304,8 @@ def residue_at(f: RatFunc, var: str, pole: Fraction, max_order: int = 8) -> RatF
     """
     # var^s * f.num and var^s * f.den are genuine polynomials in var
     s = max(0, -f.num.min_exp(var))
-    num = _translate(f.num.shift({var: s}), var, pole)
-    den = _translate(f.den.shift({var: s}), var, pole)
+    num = f.num.shift({var: s}).translate(var, pole)
+    den = f.den.shift({var: s}).translate(var, pole)
     zero = RatFunc.const(f.universe, 0)
     if num.is_zero():
         return zero

@@ -59,6 +59,16 @@ def test_check_residue_custom_alphas(capsys):
     assert "PASS" in out
 
 
+def test_check_residue_negative_alphas_as_next_token(capsys):
+    # a value with a leading minus reads as an option unless glued by `=`
+    split = run(["check", "--name", "residue", "--alphas", "-2,3",
+                 "--N", "2"], capsys)
+    glued = run(["check", "--name", "residue", "--alphas=-2,3",
+                 "--N", "2"], capsys)
+    assert split[0] == 0
+    assert split == glued
+
+
 def test_check_recursion(capsys):
     code, out, _ = run(["check", "--name", "recursion", "--n", "2",
                         "--k", "2"], capsys)
