@@ -182,11 +182,27 @@ def mc_conf_affine(t: TorusData, k: int) -> RatFunc:
     return _falling_factorial(mcB, euler_point(t), k)
 
 
+def mc_conf_proj_refinement_sum(t: TorusData, e: ProjFixedPoint) -> RatFunc:
+    """Class of the configuration space of projective (n-1)-space restricted
+    to a fixed point, by its definition: the sum over refinements P of the
+    coincidence partition of a(P) prod_{B in P} lambda_y(i_B)
+    lambda_{-1}(i_B)^(|B|-1).  Bell-number slow; the checks compare
+    `mc_conf_proj_at` and `mc_conf_proj_recursion` against it."""
+    _check_k(e.k)
+    lam = {i: lambda_y_proj(t, i) for i in set(e.iota)}
+
+    def weight(block):
+        lam_y, lam_m1 = lam[e.iota[block[0] - 1]]
+        return lam_y * lam_m1 ** (len(block) - 1)
+
+    return partition_sum(e.induced_partition(), weight, t.one())
+
+
 def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     """Class of the configuration space of projective (n-1)-space restricted
-    to a fixed point: the sum over refinements P of the coincidence partition
-    of a(P) prod_{B in P} lambda_y(i_B) lambda_{-1}(i_B)^(|B|-1), which is the
-    product over its blocks C of prod_{m<|C|} (lambda_y - m lambda_{-1})(i_C).
+    to a fixed point: `mc_conf_proj_refinement_sum` evaluated as the product
+    over the blocks C of the coincidence partition of
+    prod_{m<|C|} (lambda_y - m lambda_{-1})(i_C).
     """
     _check_k(e.k)
     if any(i > t.n for i in e.iota):

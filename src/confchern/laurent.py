@@ -346,26 +346,6 @@ class LaurentPoly:
             acc[tuple(vec)] = Fraction(t["coeff"])
         return cls(universe, acc)
 
-    @classmethod
-    def parse(cls, universe: VarUniverse, text: str) -> "LaurentPoly":
-        """Parse the canonical text form produced by __str__."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(universe)
-        acc = cls.zero(universe)
-        for chunk in text.split(" + "):
-            factors = [f.strip() for f in chunk.split("*")]
-            coeff = Fraction(factors[0])
-            exps = {}
-            for f in factors[1:]:
-                if "^" in f:
-                    name, e = f.split("^")
-                    exps[name.strip()] = int(e)
-                else:
-                    exps[f] = 1
-            acc = acc + cls.monomial(universe, exps, coeff)
-        return acc
-
 
 def _monomial_image(name: str, value, universe: VarUniverse):
     """A substitution binding as (coefficient, [(index, exponent)])."""
@@ -672,7 +652,3 @@ class RatFunc:
         return cls(LaurentPoly.from_json_terms(universe, obj["num"]),
                    LaurentPoly.from_json_terms(universe, obj["den"]))
 
-
-def rf_eq(a: RatFunc, b: RatFunc) -> bool:
-    """Decide a = b by cross-multiplication."""
-    return a == b

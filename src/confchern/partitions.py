@@ -1,15 +1,14 @@
 """Set partitions of {1..k}: enumeration, inclusion-exclusion coefficients,
-ordered partitions and refinements."""
+refinements and the partition-sum kernel."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Tuple
+from typing import List
 
 PARTITION_CAP = 12
-ORDERED_CAP = 9
 GRAPH_ORACLE_CAP = 6
 
 
@@ -41,42 +40,8 @@ class SetPartition:
     def __len__(self):
         return len(self.blocks)
 
-    def block_of(self, i: int) -> Tuple[int, ...]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def __str__(self):
         return "|".join(",".join(str(i) for i in b) for b in self.blocks)
-
-    __repr__ = __str__
-
-    @classmethod
-    def parse(cls, k: int, text: str) -> "SetPartition":
-        blocks = [[int(x) for x in chunk.split(",")] for chunk in text.split("|")]
-        return cls(k, blocks)
-
-
-class OrderedPartition:
-    """Sequence of nonempty disjoint blocks covering {1..k}; order matters."""
-
-    __slots__ = ("k", "blocks")
-
-    def __init__(self, k: int, blocks):
-        SetPartition(k, blocks)  # validates coverage/disjointness
-        self.k = k
-        self.blocks = tuple(tuple(sorted(b)) for b in blocks)
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderedPartition)
-                and self.k == other.k and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.k, self.blocks))
-
-    def __str__(self):
-        return ";".join(",".join(str(i) for i in b) for b in self.blocks)
 
     __repr__ = __str__
 
@@ -99,25 +64,6 @@ def enumerate_partitions(k: int) -> List[SetPartition]:
             grow(rgs + [b], max(nblocks, b + 1))
 
     grow([0], 1)
-    return out
-
-
-def enumerate_ordered_partitions(k: int) -> List[OrderedPartition]:
-    """All ordered partitions of [k]; count is the ordered Bell number."""
-    if not 1 <= k <= ORDERED_CAP:
-        raise ValueError("k must be in 1..%d, got %d" % (ORDERED_CAP, k))
-    out = []
-
-    def grow(remaining, prefix):
-        if not remaining:
-            out.append(OrderedPartition(k, prefix))
-            return
-        rest = sorted(remaining)
-        for r in range(1, len(rest) + 1):
-            for block in combinations(rest, r):
-                grow(remaining - set(block), prefix + [block])
-
-    grow(set(range(1, k + 1)), [])
     return out
 
 
@@ -165,21 +111,6 @@ def coefficient_a_graph_oracle(p: SetPartition) -> Fraction:
     return Fraction(total)
 
 
-def connected_sum_b(k: int) -> Fraction:
-    """Signed graph count over connected graphs on [k], computed by the
-    split-at-one-edge recursion (choose which of the k-2 remaining vertices
-    stay with vertex 1).  Equals (-1)^(k-1)(k-1)!."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    b = [None, Fraction(1)]
-    for m in range(2, k + 1):
-        total = Fraction(0)
-        for i in range(1, m):
-            total += math.comb(m - 2, i - 1) * b[i] * b[m - i]
-        b.append(-total)
-    return b[k]
-
-
 def enumerate_refinements(p0: SetPartition) -> List[SetPartition]:
     """All partitions of [k] each of whose blocks lies inside a block of p0."""
     if len(p0) == 1:
@@ -217,10 +148,3 @@ def partition_sum(p0: SetPartition, block_weight, one):
         total = total + term
     return total
 
-
-def bell_number_oracle(n: int) -> int:
-    """Bell numbers via the recurrence B(n+1) = sum C(n,i) B(i)."""
-    b = [1]
-    for m in range(n):
-        b.append(sum(math.comb(m, i) * b[i] for i in range(m + 1)))
-    return b[n]

@@ -8,8 +8,9 @@ from confchern.classes import (LocalClassData, ProjFixedPoint, TorusData,
                                euler_point, euler_point_beta, lambda_y_proj,
                                mc_conf_affine, mc_conf_generic,
                                mc_conf_proj_at, mc_conf_proj_recursion,
-                               mc_line_classes, mc_orbit_conf, mc_orbit_full,
-                               psi, standard_universe)
+                               mc_conf_proj_refinement_sum, mc_line_classes,
+                               mc_orbit_conf, mc_orbit_full, psi,
+                               standard_universe)
 from confchern.laurent import RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 
@@ -132,20 +133,14 @@ def test_mc_conf_proj_coincident_pair():
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_mc_conf_proj_matches_refinement_sum(n):
-    # sum over refinements P of the coincidence partition of
-    # a(P) prod_B lambda_y(i_B) lambda_{-1}(i_B)^(|B|-1)
+    # the product formula and the one-point recursion against the definition
     t = TorusData.standard(n)
-    lam = {i: lambda_y_proj(t, i) for i in range(1, n + 1)}
     for k in (1, 2, 3, 4):
         for iota in product(range(1, n + 1), repeat=k):
             e = ProjFixedPoint(iota)
-
-            def weight(block):
-                lam_y, lam_m1 = lam[iota[block[0] - 1]]
-                return lam_y * lam_m1 ** (len(block) - 1)
-
-            want = partition_sum(e.induced_partition(), weight, t.one())
+            want = mc_conf_proj_refinement_sum(t, e)
             assert mc_conf_proj_at(t, e) == want, iota
+            assert mc_conf_proj_recursion(t, e) == want, iota
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -237,15 +232,6 @@ def test_recursion_coincident_pair():
     mu = 1 - t2.a(1) / t2.a(2)
     got = mc_conf_proj_recursion(t2, ProjFixedPoint((1, 1)))
     assert got == lam * (lam - mu)
-
-
-@pytest.mark.parametrize("n", (2, 3))
-def test_recursion_matches_direct(n):
-    t = TorusData.standard(n)
-    for k1 in (1, 2, 3):
-        for iota in product(range(1, n + 1), repeat=k1):
-            e = ProjFixedPoint(iota)
-            assert mc_conf_proj_recursion(t, e) == mc_conf_proj_at(t, e)
 
 
 def test_caps():

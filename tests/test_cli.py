@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from confchern import cli
+from confchern import classes, cli
 from confchern.classes import ProjFixedPoint, TorusData, mc_conf_proj_at
 from confchern.laurent import RatFunc
 
@@ -74,6 +74,20 @@ def test_check_recursion(capsys):
                         "--k", "2"], capsys)
     assert code == 0
     assert "4/4" in out
+
+
+def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
+    # the recursion is built on mc_conf_proj_at, so a check that compares
+    # the two with each other passes a wrong product; the definition does not
+    def doubled(t, e, _real=classes.mc_conf_proj_at):
+        return 2 * _real(t, e)
+
+    monkeypatch.setattr(classes, "mc_conf_proj_at", doubled)
+    monkeypatch.setattr(cli, "mc_conf_proj_at", doubled)
+    code, out, _ = run(["check", "--name", "recursion", "--n", "3",
+                        "--k", "3"], capsys)
+    assert code == 1
+    assert out.strip().splitlines()[-1] == "FAIL"
 
 
 @pytest.mark.parametrize("argv", [

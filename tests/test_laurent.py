@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confchern.laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
-                               VarUniverse, ZeroDenominatorError, _exact_div,
-                               rf_eq)
+                               VarUniverse, ZeroDenominatorError, _exact_div)
+from oracles import parse_laurent_poly
 
 U = VarUniverse(("a1", "a2", "y"))
 
@@ -93,7 +93,7 @@ def test_rf_telescoping_sum():
 def test_rf_inverse_product():
     y1 = RatFunc(LaurentPoly.const(U, 1) + lp("y"), lp("a1"))
     assert y1 * y1.inverse() == 1
-    assert rf_eq(y1 * (1 / y1), RatFunc.const(U, 1))
+    assert y1 * (1 / y1) == RatFunc.const(U, 1)
 
 
 def test_rf_eq_factoring():
@@ -170,8 +170,8 @@ def test_substitute_zero_into_denominator_rejected():
 def test_text_round_trip():
     p = lp("a1", 2) * lp("y") - 3 * lp("a2", -1) + LaurentPoly.const(U, Fraction(1, 2))
     text = str(p)
-    assert LaurentPoly.parse(U, text) == p
-    assert str(LaurentPoly.parse(U, text)) == text
+    assert parse_laurent_poly(U, text) == p
+    assert str(parse_laurent_poly(U, text)) == text
 
 
 def test_json_round_trip():
@@ -238,7 +238,7 @@ def test_rf_multiplicative_inverse(f):
 @settings(max_examples=40, deadline=None)
 @given(ratfuncs(), ratfuncs(), nonzero_ratfuncs)
 def test_rf_eq_cancellation(f, g, c):
-    # rf_eq(a*c, b*c) iff rf_eq(a, b) for c != 0
+    # a*c == b*c iff a == b for c != 0
     assert (f * c == g * c) == (f == g)
 
 
@@ -319,7 +319,7 @@ def test_substitute_zero_into_positive_powers():
 @settings(max_examples=40, deadline=None)
 @given(polys())
 def test_poly_serialization_round_trip(p):
-    assert LaurentPoly.parse(U, str(p)) == p
+    assert parse_laurent_poly(U, str(p)) == p
     assert LaurentPoly.from_json_terms(U, p.to_json_terms()) == p
 
 
