@@ -444,6 +444,10 @@ class RatFunc:
         _check_same(num, den)
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
+        if num.is_zero():
+            # as in _make: the zero function carries no denominator
+            self._init_parts(num, {})
+            return
         scaled, factor = _normalize_den(den)
         self._init_parts(num * scaled, {factor: 1} if factor is not None else {})
 

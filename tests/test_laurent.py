@@ -165,6 +165,12 @@ def test_substitute_zero_into_denominator_rejected():
         rf("a1", -1).substitute({"a1": 0})
 
 
+def test_zero_ratfunc_has_no_pole():
+    zero = RatFunc(LaurentPoly.zero(U), lp("a2") - LaurentPoly.const(U, 1))
+    assert str(zero) == "0"
+    assert zero.substitute({"a2": 1}).is_zero()
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_text_round_trip():
@@ -246,7 +252,12 @@ def test_rf_eq_cancellation(f, g, c):
 @given(ratfuncs(), ratfuncs())
 def test_substitute_commutes_with_arithmetic(f, g):
     bindings = {"a1": 2, "a2": Fraction(1, 3)}
-    fs, gs = f.substitute(bindings), g.substitute(bindings)
+    try:
+        fs, gs = f.substitute(bindings), g.substitute(bindings)
+    except ZeroDenominatorError:
+        # a pole at the point: no value to compare (the raise itself is
+        # test_substitute_zero_into_denominator_rejected)
+        assume(False)
     assert (f + g).substitute(bindings) == fs + gs
     assert (f - g).substitute(bindings) == fs - gs
     assert (f * g).substitute(bindings) == fs * gs
