@@ -1,8 +1,7 @@
 """Localized equivariant class computations for configuration spaces.
 
 Everything is expressed over a shared variable universe holding the torus
-weight names (a1..an, optionally b1..bk), the class parameter y, and any
-extra symbols a caller needs.
+weight names (a1..an, optionally b1..bk) and the class parameter y.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ N_CAP = 6
 K_CAP = 7
 
 
-def standard_universe(n: int, k: int = 0, extras: Tuple[str, ...] = ()) -> VarUniverse:
+def standard_universe(n: int, k: int = 0) -> VarUniverse:
     names = ["a%d" % i for i in range(1, n + 1)]
     names += ["b%d" % a for a in range(1, k + 1)]
     names.append("y")
-    names.extend(extras)
     return VarUniverse(names)
 
 
@@ -41,10 +39,10 @@ class TorusData:
             self.universe.index(name)
 
     @classmethod
-    def standard(cls, n: int, k: int = 0, extras: Tuple[str, ...] = ()) -> "TorusData":
+    def standard(cls, n: int, k: int = 0) -> "TorusData":
         if not 1 <= n <= N_CAP:
             raise ValueError("n must be in 1..%d, got %d" % (N_CAP, n))
-        u = standard_universe(n, k, extras)
+        u = standard_universe(n, k)
         return cls(u,
                    tuple("a%d" % i for i in range(1, n + 1)),
                    tuple("b%d" % a for a in range(1, k + 1)))
@@ -103,8 +101,8 @@ class LocalClassData:
 
 
 def _check_k(k: int):
-    if k > K_CAP:
-        raise ValueError("k capped at %d" % K_CAP)
+    if not 1 <= k <= K_CAP:
+        raise ValueError("k must be in 1..%d, got %d" % (K_CAP, k))
 
 
 def mc_line_classes(universe: VarUniverse, alpha_var: str):
@@ -155,8 +153,6 @@ def lambda_y_proj(t: TorusData, i: int):
 def _falling_factorial(x: RatFunc, e: RatFunc, k: int) -> RatFunc:
     """prod_{m<k} (x - m e) for k >= 1; by exp(x log(1+t)) = (1+t)^x it equals
     the sum over set partitions P of [k] of a(P) x^|P| e^(k-|P|)."""
-    if k < 1:
-        raise ValueError("k must be positive, got %d" % k)
     acc = x
     for m in range(1, k):
         acc = acc * (x - m * e)
@@ -231,8 +227,6 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     set partitions P of [k] of a(P) * prod_{B in P} w(B), where
     w(B) = sum_i prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j)
                  * prod_{a in B} prod_j psi(i, j, b_a a_j)."""
-    if k < 1:
-        raise ValueError("k must be positive")
     _check_k(k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
@@ -272,8 +266,6 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     """Localized class of the space of k vectors with pairwise distinct
     spanned lines where vectors are allowed to vanish: the strictly nonzero
     part plus k copies of the one-fewer-vector part."""
-    if k < 1:
-        raise ValueError("k must be positive")
     _check_k(k)
     main = mc_orbit_conf(t, k) / euler_point_beta(t, k)
     if k == 1:

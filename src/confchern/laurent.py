@@ -265,37 +265,26 @@ class LaurentPoly:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, object],
-                   universe: VarUniverse = None) -> "LaurentPoly":
+    def substitute(self, bindings: Mapping[str, object]) -> "LaurentPoly":
         """Simultaneous monomial substitution.
 
-        Each bound variable goes to a constant or to c * monomial: an int,
-        a Fraction, a LaurentPoly with at most one term, or a RatFunc with
-        no denominator factors and at most one numerator term.  Unbound
-        variables carry over by name into the target universe, which must
-        contain them: `universe`, else that of the first polynomial
-        binding, else ours.
+        Each bound variable goes to a constant or to c * monomial over our
+        universe: an int, a Fraction, a LaurentPoly with at most one term,
+        or a RatFunc with no denominator factors and at most one numerator
+        term.
         """
-        target = universe
-        if target is None:
-            for v in bindings.values():
-                if isinstance(v, (RatFunc, LaurentPoly)):
-                    target = v.universe
-                    break
-            else:
-                target = self.universe
-        for name in bindings:
-            self.universe.index(name)  # raises on unknown variable
-        # image of each variable: (coefficient, [(target index, exponent)])
-        images = [_monomial_image(name, bindings[name], target)
-                  if name in bindings else (1, [(target.index(name), 1)])
-                  for name in self.universe.names]
+        u = self.universe
+        # bound variable's index -> (coefficient, [(index, exponent)])
+        images = {u.index(name): _monomial_image(name, value, u)
+                  for name, value in bindings.items()}
         terms: dict = {}
         for exps, coeff in self.terms.items():
-            vec = [0] * len(target)
-            for e, (c, mono) in zip(exps, images):
+            vec = list(exps)
+            for i, (c, mono) in images.items():
+                e = exps[i]
                 if not e:
                     continue
+                vec[i] -= e
                 if c != 1:
                     if not c and e < 0:
                         raise ZeroDenominatorError(
@@ -305,7 +294,7 @@ class LaurentPoly:
                     vec[j] += x * e
             key = tuple(vec)
             terms[key] = terms.get(key, 0) + coeff
-        return LaurentPoly(target, terms)  # drops the zero sums
+        return LaurentPoly(u, terms)  # drops the zero sums
 
     # -- rendering ---------------------------------------------------------
 
@@ -617,13 +606,12 @@ class RatFunc:
 
     # -- misc --------------------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, object],
-                   universe: VarUniverse = None) -> "RatFunc":
+    def substitute(self, bindings: Mapping[str, object]) -> "RatFunc":
         """Monomial substitution (see LaurentPoly.substitute) applied to
         the numerator and to each denominator factor."""
-        result = RatFunc(self.num.substitute(bindings, universe))
+        result = RatFunc(self.num.substitute(bindings))
         for f, power in self._factors.items():
-            fs = f.substitute(bindings, universe)
+            fs = f.substitute(bindings)
             if fs.is_zero():
                 raise ZeroDenominatorError(
                     "substitution vanishes on the denominator")

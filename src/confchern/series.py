@@ -99,14 +99,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        result = TruncSeries.const(self.universe, self.order, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
@@ -166,8 +158,9 @@ def _partition_series(universe: VarUniverse, n_order: int,
 
 
 def _check_order(n_order: int):
-    if n_order > ORDER_CAP:
-        raise ValueError("order capped at %d" % ORDER_CAP)
+    if not 1 <= n_order <= ORDER_CAP:
+        raise ValueError("order capped at %d and at least 1, got %d"
+                         % (ORDER_CAP, n_order))
 
 
 def check_partition_exp_identity(n_order: int) -> bool:
@@ -228,7 +221,7 @@ def orbit_series(n: int, n_order: int) -> TruncSeries:
     ones = {name: 1 for name in t_data.beta}
     coeffs = [t_data.one()]
     for k in range(1, n_order + 1):
-        cls = mc_orbit_conf(t_data, k).substitute(ones, universe)
+        cls = mc_orbit_conf(t_data, k).substitute(ones)
         coeffs.append(Fraction(1, math.factorial(k))
                       * (cls / euler_point(t_data, k)))
     return TruncSeries(universe, n_order, coeffs)
@@ -251,8 +244,8 @@ def orbit_series_sides(n: int, n_order: int):
 
 
 def check_orbit_series(n: int, n_order: int) -> bool:
-    if n > 3 or n_order > 4:
-        raise ValueError("orbit series check capped at n <= 3, N <= 4")
+    if n > 3 or not 1 <= n_order <= 4:
+        raise ValueError("orbit series check capped at n <= 3, 1 <= N <= 4")
     lhs, rhs = orbit_series_sides(n, n_order)
     return lhs == rhs
 
@@ -265,7 +258,7 @@ def orbit_full_series(n: int, n_order: int) -> TruncSeries:
     ones = {name: 1 for name in t_data.beta}
     coeffs = [t_data.one()]
     for k in range(1, n_order + 1):
-        coeff = mc_orbit_full(t_data, k).substitute(ones, universe)
+        coeff = mc_orbit_full(t_data, k).substitute(ones)
         coeffs.append(Fraction(1, math.factorial(k)) * coeff)
     return TruncSeries(universe, n_order, coeffs)
 
@@ -351,8 +344,8 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
     (c) minus the sum of residues at the alpha_i equals the exponent of the
         orbit generating series with the weights specialized numerically.
     """
-    if n_order > 3:
-        raise ValueError("residue check capped at N <= 3")
+    if not 1 <= n_order <= 3:
+        raise ValueError("residue check capped at 1 <= N <= 3")
     alphas = [Fraction(a) for a in alphas]
     if len(set(alphas)) != len(alphas) or any(a in (0, 1) for a in alphas):
         raise ValueError("alphas must be distinct and differ from 0 and 1")

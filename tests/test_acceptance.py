@@ -123,7 +123,7 @@ def test_12_orbit_space_consistency():
     # k=1 additivity at trivial scaling weights
     for n in (1, 2, 3):
         t = TorusData.standard(n, k=1)
-        got = mc_orbit_conf(t, 1).substitute({"b1": 1}, t.universe)
+        got = mc_orbit_conf(t, 1).substitute({"b1": 1})
         lam = t.one()
         eu = t.one()
         for j in range(1, n + 1):

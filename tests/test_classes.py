@@ -182,7 +182,7 @@ def test_mc_orbit_conf_n1_k1():
 def test_mc_orbit_conf_k1_additivity(n):
     # with the scaling weight trivial, k=1 must give lambda_y - eu at 0
     t = TorusData.standard(n, k=1)
-    got = mc_orbit_conf(t, 1).substitute({"b1": 1}, t.universe)
+    got = mc_orbit_conf(t, 1).substitute({"b1": 1})
     lam = t.one()
     eu = t.one()
     for j in range(1, n + 1):
@@ -205,7 +205,7 @@ def test_euler_point_beta():
 
 def test_mc_orbit_full_k1():
     t = TorusData.standard(1, k=1)
-    got = mc_orbit_full(t, 1).substitute({"b1": 1}, t.universe)
+    got = mc_orbit_full(t, 1).substitute({"b1": 1})
     a = t.a(1)
     assert got == (1 + t.y) / (a - 1) + 1
 
@@ -258,5 +258,7 @@ def test_caps():
         mc_conf_generic(_free_point_data(), 0)
     with pytest.raises(ValueError):
         mc_orbit_conf(TorusData.standard(1, k=1), 0)
+    with pytest.raises(ValueError):
+        mc_conf_proj_at(t, ProjFixedPoint(()))
     with pytest.raises(ValueError):
         TorusData.standard(0)

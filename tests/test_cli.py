@@ -24,7 +24,7 @@ def test_conf_proj_json_round_trip(capsys):
     got = RatFunc.from_json(blob)
     t = TorusData.standard(2)
     want = mc_conf_proj_at(t, ProjFixedPoint((1, 1)))
-    assert got == want.substitute({}, got.universe)
+    assert got == want
 
 
 def test_output_deterministic(capsys):
@@ -98,8 +98,22 @@ def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     ["check", "--name", "s1", "--N", "8"],
     ["check", "--name", "s3-point", "--N", "8"],
     ["orbit", "--n", "2", "--k", "0"],
+    ["check", "--name", "recursion", "--k", "0"],
+    ["check", "--name", "bb-stability", "--k", "0"],
+    ["check", "--name", "szeregi", "--N", "0"],
+    ["check", "--name", "s1", "--N", "0"],
+    ["check", "--name", "s2", "--N", "0"],
+    ["check", "--name", "s3-point", "--N", "0"],
+    ["check", "--name", "residue", "--N", "0"],
+    ["check", "--name", "residue", "--N", "-2"],
+    ["check", "--name", "limits-props", "--count", "0"],
+    ["check", "--name", "limits-props", "--count", "-3"],
 ], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point",
-        "s1-order-cap", "s3-point-order-cap", "orbit-k-zero"])
+        "s1-order-cap", "s3-point-order-cap", "orbit-k-zero",
+        "recursion-k-zero", "bb-stability-k-zero", "szeregi-order-zero",
+        "s1-order-zero", "s2-order-zero", "s3-point-order-zero",
+        "residue-order-zero", "residue-order-negative",
+        "limits-props-count-zero", "limits-props-count-negative"])
 def test_usage_error_exit_2(argv, capsys):
     # malformed input or a cap violation: exit code 2, a message on stderr
     code, out, err = run(argv, capsys)

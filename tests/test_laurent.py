@@ -160,6 +160,14 @@ def test_substitute_inverse_weight():
     assert got == 1 - RatFunc.var(uu, "u") * RatFunc.var(uu, "a2")
 
 
+def test_substitute_rejects_binding_from_another_universe():
+    uu = VarUniverse(("a1", "a2", "y", "u"))
+    with pytest.raises(UniverseMismatchError):
+        rf("a1").substitute({"a1": RatFunc.var(uu, "u", -1)})
+    with pytest.raises(UniverseMismatchError):
+        lp("a1").substitute({"a1": LaurentPoly.var(uu, "u")})
+
+
 def test_substitute_zero_into_denominator_rejected():
     with pytest.raises(ZeroDenominatorError):
         rf("a1", -1).substitute({"a1": 0})

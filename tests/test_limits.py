@@ -1,14 +1,18 @@
 """Tests for the limit map, the lambda-quotient limit law, and limit
 stability."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.limits import (LimitSpec, LimitUndefinedError,
                               WeightedBundleSummand, check_bb_stability,
                               lambda_quotient, lambda_quotient_sweep,
                               limit_lambda_quotient, limit_map,
-                              run_limit_property_suite)
+                              random_admissible, run_limit_property_suite)
 
 U = VarUniverse(("a1", "a2", "y", "s"))
 SPEC = LimitSpec("s", "to_zero")
@@ -38,6 +42,48 @@ def test_limit_inverse_direction():
     assert limit_map(f, LimitSpec("s", "inverse_to_zero")) == 1
     with pytest.raises(LimitUndefinedError):
         limit_map(v("s"), LimitSpec("s", "inverse_to_zero"))
+
+
+def _value_at_s0(p, a1, y):
+    """Value at (a1, y) of the s^0 terms of a polynomial over (a1, y, s)."""
+    return sum((c * a1 ** e_a * y ** e_y
+                for (e_a, e_y, e_s), c in p.terms.items() if e_s == 0),
+               Fraction(0))
+
+
+_nonzero = st.fractions(min_value=-3, max_value=3,
+                        max_denominator=4).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(-2, 3),
+       _nonzero, _nonzero)
+def test_limit_map_is_value_at_zero(rng, j, a1, y):
+    # an admissible fraction times s^j: j > 0 sends the limit to 0, and
+    # j < 0 leaves a pole at s = 0 unless every numerator term has s^-j
+    f = random_admissible(rng)
+    f = RatFunc(f.num * LaurentPoly.var(f.universe, "s", j), f.den)
+    den0 = _value_at_s0(f.den, a1, y)
+    assume(den0 != 0)
+    if f.num.min_exp("s") < 0:
+        with pytest.raises(LimitUndefinedError):
+            limit_map(f, SPEC)
+    else:
+        got = limit_map(f, SPEC)
+        assert got.num == got.num.coeff_of("s", 0)
+        assert got.den == got.den.coeff_of("s", 0)
+        assert _value_at_s0(got.num, a1, y) / _value_at_s0(got.den, a1, y) \
+            == _value_at_s0(f.num, a1, y) / den0
+    # the inverse direction is the to-zero limit after s := 1/s
+    flipped = f.substitute({"s": RatFunc.var(f.universe, "s", -1)})
+    inverse = LimitSpec("s", "inverse_to_zero")
+    try:
+        want = limit_map(flipped, SPEC)
+    except LimitUndefinedError:
+        with pytest.raises(LimitUndefinedError):
+            limit_map(f, inverse)
+    else:
+        assert limit_map(f, inverse) == want
 
 
 def test_limit_fixes_s_free_input():
@@ -96,6 +142,8 @@ def test_bb_stability_caps():
         check_bb_stability(5, 1)
     with pytest.raises(ValueError):
         check_bb_stability(2, 4)
+    with pytest.raises(ValueError):
+        check_bb_stability(2, 0)
 
 
 def test_limit_of_first_coincident_class():

@@ -13,7 +13,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["classes", "series"])
+@pytest.mark.parametrize("workload", ["classes", "series", "limits"])
 def test_traced_run_correct(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
