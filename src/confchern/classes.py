@@ -6,8 +6,7 @@ weight names (a1..an, optionally b1..bk) and the class parameter y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence
 
 from .laurent import RatFunc, VarUniverse
 from .partitions import SetPartition, partition_sum
@@ -23,20 +22,19 @@ def standard_universe(n: int, k: int = 0) -> VarUniverse:
     return VarUniverse(names)
 
 
-@dataclass(frozen=True)
 class TorusData:
     """Weight names of the diagonal torus on C^n, plus optional per-point
     scaling weights."""
 
-    universe: VarUniverse
-    alpha: Tuple[str, ...]
-    beta: Tuple[str, ...] = ()
+    __slots__ = ("universe", "alpha", "beta")
 
-    def __post_init__(self):
-        if len(set(self.alpha)) != len(self.alpha):
+    def __init__(self, universe: VarUniverse, alpha: Sequence[str],
+                 beta: Sequence[str] = ()):
+        if len(set(alpha)) != len(alpha):
             raise ValueError("alpha names must be distinct")
-        for name in tuple(self.alpha) + tuple(self.beta):
-            self.universe.index(name)
+        for name in tuple(alpha) + tuple(beta):
+            universe.index(name)
+        self.universe, self.alpha, self.beta = universe, alpha, beta
 
     @classmethod
     def standard(cls, n: int, k: int = 0) -> "TorusData":
@@ -65,16 +63,16 @@ class TorusData:
         return RatFunc.const(self.universe, 1)
 
 
-@dataclass(frozen=True)
 class ProjFixedPoint:
     """Fixed point of projective space to the k-th power: a tuple of
     coordinate-axis indices."""
 
-    iota: Tuple[int, ...]
+    __slots__ = ("iota",)
 
-    def __post_init__(self):
-        if any(i < 1 for i in self.iota):
+    def __init__(self, iota: Sequence[int]):
+        if any(i < 1 for i in iota):
             raise ValueError("indices are 1-based")
+        self.iota = iota
 
     @property
     def k(self) -> int:
@@ -87,17 +85,16 @@ class ProjFixedPoint:
         return SetPartition(self.k, groups.values())
 
 
-@dataclass(frozen=True)
 class LocalClassData:
     """Point restriction of the class of an embedded (possibly singular)
     subvariety, together with the ambient Euler class at that point."""
 
-    mcB: RatFunc
-    euTM: RatFunc
+    __slots__ = ("mcB", "euTM")
 
-    def __post_init__(self):
-        if self.euTM.is_zero():
+    def __init__(self, mcB: RatFunc, euTM: RatFunc):
+        if euTM.is_zero():
             raise ValueError("ambient Euler class must be nonzero")
+        self.mcB, self.euTM = mcB, euTM
 
 
 def _check_k(k: int):

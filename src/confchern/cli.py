@@ -22,7 +22,7 @@ from .partitions import (coefficient_a, coefficient_a_graph_oracle,
 from .series import (check_orbit_series, check_partition_exp_identity,
                      check_point_series, check_point_series_ambient,
                      check_residue_form)
-from .limits import (check_bb_stability, lambda_quotient_sweep,
+from .limits import (COUNT_CAP, check_bb_stability, lambda_quotient_sweep,
                      run_limit_property_suite)
 
 
@@ -164,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=str, default="2,3",
                    help="comma-separated rationals, e.g. 2,1/2 or -2,3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=int, default=200,
+                   help="random cases of limits-props, 1..%d" % COUNT_CAP)
     common(p)
     p.set_defaults(func=cmd_check)
 

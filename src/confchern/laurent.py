@@ -7,11 +7,23 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import collections.abc
 import math
+import operator
+import struct
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[Fraction, int]
+
+# Bits per digit of a packed exponent key (VarUniverse decodes digits as
+# 32-bit C ints).  Digits are signed, so a key compares like its exponent
+# tuple.  Exponents are held to a quarter of the digit range, so the
+# difference of two of them (a span, or a shift in _exact_div) still fits
+# in a digit.
+_WIDTH = 32
+EXP_LIMIT = (1 << (_WIDTH - 2)) - 1
 
 
 class UniverseMismatchError(ValueError):
@@ -22,10 +34,20 @@ class ZeroDenominatorError(ZeroDivisionError):
     pass
 
 
-class VarUniverse:
-    """Ordered, fixed list of variable names shared by all values built over it."""
+class ExponentOverflowError(ValueError):
+    """An exponent beyond +-EXP_LIMIT, which a packed key cannot hold."""
 
-    __slots__ = ("names", "_index")
+
+class VarUniverse:
+    """Ordered, fixed list of variable names shared by all values built over it.
+
+    It also packs exponent tuples over its variables into int keys: the
+    i-th exponent is the signed digit of place 2^(_WIDTH * (n-1-i)), so the
+    first variable is the most significant and int order is the
+    lexicographic order of the tuples.  Adding keys adds exponent vectors.
+    """
+
+    __slots__ = ("names", "_index", "_place", "_guard", "_codec")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -33,6 +55,12 @@ class VarUniverse:
             raise ValueError("duplicate variable names: %r" % (names,))
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        self._place = tuple(1 << (_WIDTH * (n - 1 - i)) for i in range(n))
+        # the top bit of every digit; key + _guard holds each digit plus
+        # half the digit range, which is nonnegative
+        self._guard = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(n))
+        self._codec = struct.Struct(">%di" % n)
 
     def index(self, name: str) -> int:
         try:
@@ -58,9 +86,53 @@ class VarUniverse:
     def __repr__(self) -> str:
         return "VarUniverse(%r)" % (self.names,)
 
+    # -- packed exponent keys ----------------------------------------------
+
+    def _key(self, vec) -> int:
+        """Packed key of an exponent vector, unchecked."""
+        return sum(map(operator.mul, vec, self._place))
+
+    def _pack(self, exps) -> int:
+        """Packed key of an exponent tuple, checked against EXP_LIMIT."""
+        if len(exps) != len(self.names):
+            raise ValueError("exponent tuple length mismatch")
+        if exps and max(map(abs, exps)) > EXP_LIMIT:
+            raise ExponentOverflowError(
+                "exponent beyond +-%d in %r" % (EXP_LIMIT, tuple(exps)))
+        return self._key(exps)
+
+    def _unpack(self, key: int) -> tuple:
+        """Exponent tuple of a packed key: each digit plus half the range,
+        with its top bit flipped, is the digit in two's complement."""
+        g = self._guard
+        return self._codec.unpack(((key + g) ^ g).to_bytes(self._codec.size,
+                                                           "big"))
+
+    def _digits(self, keys, i: int) -> list:
+        """The exponent of variable i in each of `keys`."""
+        shift = _WIDTH * (len(self.names) - 1 - i)
+        mask = (1 << _WIDTH) - 1
+        half = 1 << (_WIDTH - 1)
+        g = self._guard
+        return [((k + g) >> shift & mask) - half for k in keys]
+
+    def _box(self, keys):
+        """Lowest and highest exponent of each variable over nonempty keys.
+
+        The keys' digits are read as one buffer of native 32-bit ints, and
+        each variable's digits are a strided view of it, so no tuple is
+        built per key or per variable."""
+        n, g, size = len(self.names), self._guard, self._codec.size
+        flat = memoryview(b"".join([((k + g) ^ g).to_bytes(size, sys.byteorder)
+                                    for k in keys])).cast("i")
+        # a little-endian key holds its last variable first
+        columns = ([flat[i::n] for i in range(n)] if sys.byteorder == "big"
+                   else [flat[n - 1 - i::n] for i in range(n)])
+        return list(map(min, columns)), list(map(max, columns))
+
 
 def _check_same(a, b):
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatchError(
             "mixed universes: %r vs %r" % (a.universe.names, b.universe.names)
         )
@@ -74,44 +146,122 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError("expected exact rational, got %r" % (x,))
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial: map from exponent tuples to nonzero Fractions.
+def _check_bound(bound: int) -> int:
+    if bound > EXP_LIMIT:
+        raise ExponentOverflowError(
+            "exponents may exceed +-%d (bound %d)" % (EXP_LIMIT, bound))
+    return bound
 
-    Exponent tuples have one signed entry per universe variable.  Term order
+
+def _canonical(universe, coeffs: dict, denom: int, bound: int):
+    """LaurentPoly from nonzero int numerators over a positive denominator,
+    with their common factor divided out by one gcd."""
+    if denom != 1:
+        g = math.gcd(denom, *coeffs.values())
+        if g != 1:
+            coeffs = {k: c // g for k, c in coeffs.items()}
+            denom //= g
+    return LaurentPoly._make(universe, coeffs, denom, bound)
+
+
+class _Terms(collections.abc.Mapping):
+    """Read-only view of a LaurentPoly's terms, exponent tuple -> Fraction,
+    decoded from the packed storage on every read."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "LaurentPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._coeffs)
+
+    def __iter__(self):
+        return map(self._poly.universe._unpack, self._poly._coeffs)
+
+    def __getitem__(self, exps) -> Fraction:
+        p = self._poly
+        try:
+            key = p.universe._pack(tuple(exps))
+        except (TypeError, ValueError):
+            raise KeyError(exps)
+        return Fraction(p._coeffs[key], p._denom)
+
+    def items(self) -> list:
+        p = self._poly
+        unpack, d = p.universe._unpack, p._denom
+        return [(unpack(k), Fraction(c, d)) for k, c in p._coeffs.items()]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class LaurentPoly:
+    """Sparse Laurent polynomial over Q: integer numerators over one
+    positive common denominator, on packed exponent keys.
+
+    `_coeffs` maps the packed key of each exponent tuple (see VarUniverse;
+    one signed entry per universe variable) to a nonzero int numerator, and
+    `_denom` is the common denominator, with gcd(_denom, numerators) = 1.
+    Equal polynomials therefore have equal storage.  `_bound` is at least
+    every |exponent|; a product adds its operands' bounds, so overflow past
+    EXP_LIMIT is caught once per operation and raises
+    ExponentOverflowError.  `terms` is a read-only view that decodes the
+    storage into exponent tuples and Fractions on each read.  Term order
     (for serialization) is descending lexicographic in universe order.
     """
 
-    __slots__ = ("universe", "terms")
+    __slots__ = ("universe", "_coeffs", "_denom", "_bound")
 
     def __init__(self, universe: VarUniverse, terms: Mapping[tuple, Scalar] = ()):
-        self.universe = universe
-        clean = {}
+        fracs = {}
+        bound = 0
         for exps, coeff in dict(terms).items():
             coeff = _as_fraction(coeff)
             if coeff:
-                if len(exps) != len(universe):
-                    raise ValueError("exponent tuple length mismatch")
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+                fracs[universe._pack(exps)] = coeff
+                bound = max(bound, max(map(abs, exps), default=0))
+        # over the least common denominator the numerators are coprime to it
+        denom = math.lcm(*(c.denominator for c in fracs.values()))
+        self.universe = universe
+        self._coeffs = {k: c.numerator * (denom // c.denominator)
+                        for k, c in fracs.items()}
+        self._denom = denom
+        self._bound = bound
+
+    @classmethod
+    def _make(cls, universe: VarUniverse, coeffs: dict, denom: int = 1,
+              bound: int = 0) -> "LaurentPoly":
+        """Trusted constructor for storage that is already canonical."""
+        self = object.__new__(cls)
+        self.universe = universe
+        self._coeffs = coeffs
+        self._denom = denom
+        self._bound = bound
+        return self
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        return _Terms(self)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, universe: VarUniverse) -> "LaurentPoly":
-        return cls(universe)
+        return cls._make(universe, {})
 
     @classmethod
     def const(cls, universe: VarUniverse, c: Scalar) -> "LaurentPoly":
         c = _as_fraction(c)
         if not c:
-            return cls(universe)
-        return cls(universe, {(0,) * len(universe): c})
+            return cls._make(universe, {})
+        return cls._make(universe, {0: c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, universe: VarUniverse, name: str, power: int = 1) -> "LaurentPoly":
         exps = [0] * len(universe)
         exps[universe.index(name)] = power
-        return cls(universe, {tuple(exps): Fraction(1)})
+        return cls._make(universe, {universe._pack(exps): 1}, 1, abs(power))
 
     @classmethod
     def monomial(cls, universe: VarUniverse, exps: Mapping[str, int],
@@ -119,55 +269,64 @@ class LaurentPoly:
         vec = [0] * len(universe)
         for name, e in exps.items():
             vec[universe.index(name)] = e
-        return cls(universe, {tuple(vec): _as_fraction(coeff)})
+        return cls(universe, {tuple(vec): coeff})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def is_const(self) -> bool:
-        if not self.terms:
-            return True
-        zero = (0,) * len(self.universe)
-        return len(self.terms) == 1 and zero in self.terms
+        return not self._coeffs or (len(self._coeffs) == 1
+                                    and 0 in self._coeffs)
 
     def const_value(self) -> Fraction:
-        if not self.terms:
+        if not self._coeffs:
             return Fraction(0)
-        [(exps, coeff)] = self.terms.items()
-        if any(exps):
+        if not self.is_const():
             raise ValueError("not a constant: %s" % self)
-        return coeff
+        return Fraction(self._coeffs[0], self._denom)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the least common denominator."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.universe, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _check_same(self, other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = terms.get(exps, 0) + coeff
+        denom, d2 = self._denom, other._denom
+        if denom == d2:
+            acc = dict(self._coeffs)
+            scale = sign
+        else:
+            g = math.gcd(denom, d2)
+            acc = {k: c * (d2 // g) for k, c in self._coeffs.items()}
+            scale = sign * (denom // g)
+            denom *= d2 // g
+        get = acc.get
+        for k, c in other._coeffs.items():
+            s = get(k, 0) + scale * c
             if s:
-                terms[exps] = s
+                acc[k] = s
             else:
-                terms.pop(exps, None)
-        return LaurentPoly(self.universe, terms)
+                del acc[k]
+        return _canonical(self.universe, acc, denom,
+                          max(self._bound, other._bound))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.universe, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.universe,
+                                 {k: -c for k, c in self._coeffs.items()},
+                                 self._denom, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.universe, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -175,21 +334,31 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return LaurentPoly(self.universe,
-                               {e: cf * c for e, cf in self.terms.items()})
+            if not c:
+                return LaurentPoly.zero(self.universe)
+            n = c.numerator
+            return _canonical(self.universe,
+                              {k: v * n for k, v in self._coeffs.items()},
+                              self._denom * c.denominator, self._bound)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _check_same(self, other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(exps, 0) + c1 * c2
-                if s:
-                    terms[exps] = s
-                else:
-                    terms.pop(exps, None)
-        return LaurentPoly(self.universe, terms)
+        bound = _check_bound(self._bound + other._bound)
+        outer, inner = self._coeffs, other._coeffs
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner = list(inner.items())
+        acc: dict = {}
+        get = acc.get
+        for k1, c1 in outer.items():
+            for k2, c2 in inner:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        coeffs = {k: c for k, c in acc.items() if c}
+        denom = self._denom * other._denom
+        if denom == 1:
+            return LaurentPoly._make(self.universe, coeffs, 1, bound)
+        return _canonical(self.universe, coeffs, denom, bound)
 
     __rmul__ = __mul__
 
@@ -210,38 +379,45 @@ class LaurentPoly:
             other = LaurentPoly.const(self.universe, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.universe == other.universe and self.terms == other.terms
+        return (self.universe == other.universe
+                and self._denom == other._denom
+                and self._coeffs == other._coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.universe, frozenset(self.terms.items())))
+        return hash((self.universe, self._denom,
+                     frozenset(self._coeffs.items())))
 
     # -- structure queries -------------------------------------------------
 
     def min_exp(self, name: str) -> int:
         """Smallest exponent of `name` over all terms (0 for the zero poly)."""
-        if not self.terms:
+        if not self._coeffs:
             return 0
-        i = self.universe.index(name)
-        return min(e[i] for e in self.terms)
+        return min(self.universe._digits(self._coeffs,
+                                         self.universe.index(name)))
 
     def shift(self, exps: Mapping[str, int]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponents."""
-        vec = [0] * len(self.universe)
+        u = self.universe
+        vec = [0] * len(u)
         for name, e in exps.items():
-            vec[self.universe.index(name)] = e
-        terms = {tuple(x + y for x, y in zip(e, vec)): c
-                 for e, c in self.terms.items()}
-        return LaurentPoly(self.universe, terms)
+            vec[u.index(name)] = e
+        off = u._pack(vec)
+        bound = _check_bound(self._bound + max(map(abs, vec), default=0))
+        return LaurentPoly._make(u, {k + off: c
+                                     for k, c in self._coeffs.items()},
+                                 self._denom, bound)
 
     def coeff_of(self, name: str, power: int) -> "LaurentPoly":
         """Collect terms with the given exponent of `name`, with that
         exponent zeroed out in the result."""
-        i = self.universe.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                terms[e[:i] + (0,) + e[i + 1:]] = c
-        return LaurentPoly(self.universe, terms)
+        u = self.universe
+        i = u.index(name)
+        drop = power * u._place[i]
+        coeffs = {k - drop: c for (k, c), e in zip(self._coeffs.items(),
+                                                    u._digits(self._coeffs, i))
+                  if e == power}
+        return _canonical(u, coeffs, self._denom, self._bound)
 
     def translate(self, name: str, c: Scalar) -> "LaurentPoly":
         """`name` replaced by `name` + c, for a polynomial without negative
@@ -250,18 +426,22 @@ class LaurentPoly:
         c = _as_fraction(c)
         if not c:
             return self
-        i = self.universe.index(name)
-        terms: dict = {}
-        for e, coeff in self.terms.items():
-            d = e[i]
+        u = self.universe
+        i = u.index(name)
+        place = u._place[i]
+        powers = u._digits(self._coeffs, i)
+        # c = a/b; over b^top every term's coefficient is an integer
+        a, b = c.numerator, c.denominator
+        top = max([0] + powers)
+        acc: dict = {}
+        for (key, coeff), d in zip(self._coeffs.items(), powers):
+            base = key - d * place
             for j in range(d + 1):
-                key = e[:i] + (j,) + e[i + 1:]
-                s = terms.get(key, 0) + coeff * math.comb(d, j) * c ** (d - j)
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return LaurentPoly(self.universe, terms)
+                k = base + j * place
+                acc[k] = acc.get(k, 0) + (coeff * math.comb(d, j)
+                                          * a ** (d - j) * b ** (top - d + j))
+        coeffs = {k: v for k, v in acc.items() if v}
+        return _canonical(u, coeffs, self._denom * b ** top, self._bound)
 
     # -- substitution ------------------------------------------------------
 
@@ -274,35 +454,46 @@ class LaurentPoly:
         term.
         """
         u = self.universe
-        # bound variable's index -> (coefficient, [(index, exponent)])
-        images = {u.index(name): _monomial_image(name, value, u)
-                  for name, value in bindings.items()}
-        terms: dict = {}
-        for exps, coeff in self.terms.items():
-            vec = list(exps)
-            for i, (c, mono) in images.items():
-                e = exps[i]
+        keys = list(self._coeffs)
+        new_keys = list(keys)
+        scales = [1] * len(keys)
+        # new exponent of variable j: its own (if unbound) plus sum_i e_i x_ij
+        weight = [1] * len(u)
+        for name, value in bindings.items():
+            i = u.index(name)
+            c, mono = _monomial_image(name, value, u)
+            weight[i] -= 1
+            move = -u._place[i]
+            for j, x in mono:
+                move += x * u._place[j]
+                weight[j] += abs(x)
+            for t, e in enumerate(u._digits(keys, i)):
                 if not e:
                     continue
-                vec[i] -= e
+                new_keys[t] += e * move
                 if c != 1:
                     if not c and e < 0:
                         raise ZeroDenominatorError(
                             "substituting 0 into a negative power")
-                    coeff = coeff * c ** e
-                for j, x in mono:
-                    vec[j] += x * e
-            key = tuple(vec)
-            terms[key] = terms.get(key, 0) + coeff
-        return LaurentPoly(u, terms)  # drops the zero sums
+                    scales[t] *= c ** e
+        bound = _check_bound(self._bound * max(weight, default=0))
+        # over the common denominator of the scales (ints have denominator 1)
+        common = math.lcm(*(s.denominator for s in scales))
+        acc: dict = {}
+        for k, c, s in zip(new_keys, self._coeffs.values(), scales):
+            acc[k] = acc.get(k, 0) + c * s.numerator * (common // s.denominator)
+        return _canonical(u, {k: v for k, v in acc.items() if v},
+                          self._denom * common, bound)
 
     # -- rendering ---------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        unpack, d = self.universe._unpack, self._denom
+        return [(unpack(k), Fraction(c, d))
+                for k, c in sorted(self._coeffs.items(), reverse=True)]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
@@ -342,13 +533,15 @@ def _monomial_image(name: str, value, universe: VarUniverse):
         return _as_fraction(value), []
     if isinstance(value, RatFunc) and not value._factors:
         value = value.num
-    if isinstance(value, LaurentPoly) and len(value.terms) <= 1:
+    if isinstance(value, LaurentPoly) and len(value._coeffs) <= 1:
         if value.universe != universe:
             raise UniverseMismatchError("binding universes disagree")
         if value.is_zero():
             return Fraction(0), []
-        [(exps, c)] = value.terms.items()
-        return c, [(j, x) for j, x in enumerate(exps) if x]
+        [(key, c)] = value._coeffs.items()
+        exps = universe._unpack(key)
+        return (Fraction(c, value._denom),
+                [(j, x) for j, x in enumerate(exps) if x])
     raise ValueError("binding for %r is not a constant or c * monomial: %r"
                      % (name, value))
 
@@ -357,43 +550,66 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     """Quotient p/f if f divides p exactly (up to monomials), else None.
 
     Monomial factors always divide in the Laurent ring, so divisibility is
-    tested after shifting both operands to nonnegative exponents.  The
-    remainder lives in one dict that each step updates in place: the
-    lex-leading term is cancelled against f's leading term, and only the
-    terms that f's other terms touch are rewritten.
+    tested after shifting both operands to nonnegative exponents.  p's
+    integer numerators are divided over Z by the primitive part of f: by
+    Gauss's lemma that division is exact whenever the one over Q is, so a
+    leading coefficient that leaves a remainder is a miss.  The remainder
+    lives in one dict that each step updates in place: the lex-leading
+    term is cancelled against f's leading term, and only the terms that
+    f's other terms touch are rewritten.  A quotient term has exponents in
+    the box [0, span(p) - span(f)], so a step outside it is a miss too;
+    that keeps every exponent of the remainder within span(p).
     """
     if p.is_zero():
         return p
     u = p.universe
-    nvars = len(u)
-    p_low = [min(e[i] for e in p.terms) for i in range(nvars)]
-    f_low = [min(e[i] for e in f.terms) for i in range(nvars)]
-    rem = {tuple(x - m for x, m in zip(e, p_low)): c
-           for e, c in p.terms.items()}
-    f0 = {tuple(x - m for x, m in zip(e, f_low)): c
-          for e, c in f.terms.items()}
+    p_low, p_high = u._box(p._coeffs)
+    f_low, f_high = u._box(f._coeffs)
+    room = [ph - pl - fh + fl
+            for pl, ph, fl, fh in zip(p_low, p_high, f_low, f_high)]
+    if room and min(room) < 0:
+        return None
+    p_off, f_off = u._key(p_low), u._key(f_low)
+    rem = {k - p_off: c for k, c in p._coeffs.items()}
+    # f = (content / f._denom) * primitive part, with a positive lead
+    content = math.gcd(*f._coeffs.values())
+    f0 = {k - f_off: c // content for k, c in f._coeffs.items()}
     lead = max(f0)
     lead_c = f0.pop(lead)
+    if lead_c < 0:
+        lead_c, content = -lead_c, -content
+        f0 = {k: -c for k, c in f0.items()}
     rest = list(f0.items())
+    # with every digit below half the range, adding the guard bits keeps
+    # each digit's top bit exactly when that digit is nonnegative
+    guard = u._guard
+    top_q = u._key(room) + guard
     quot = []
     while rem:
         top = max(rem)
-        q_exps = tuple(a - b for a, b in zip(top, lead))
-        if any(x < 0 for x in q_exps):
+        q = top - lead
+        if (q + guard) & (top_q - q) & guard != guard:
             return None
-        q_c = rem.pop(top) / lead_c
-        quot.append((q_exps, q_c))
+        q_c, r = divmod(rem.pop(top), lead_c)
+        if r:
+            return None
+        quot.append((q, q_c))
         for e, c in rest:
-            key = tuple(a + b for a, b in zip(q_exps, e))
+            key = q + e
             s = rem.get(key, 0) - q_c * c
             if s:
                 rem[key] = s
             else:
-                rem.pop(key, None)
-    # undo the shifts: p/f = x^(p_low - f_low) * (p0/f0)
-    back = [a - b for a, b in zip(p_low, f_low)]
-    return LaurentPoly(u, {tuple(x + d for x, d in zip(q, back)): c
-                           for q, c in quot})
+                del rem[key]
+    # undo the shifts and the content:
+    # p/f = x^(p_low - f_low) * quotient * f._denom / (p._denom * content)
+    back = p_off - f_off
+    scale = f._denom if content > 0 else -f._denom
+    bound = _check_bound(max([0] + [max(abs(pl - fl), abs(ph - fh))
+                                    for pl, ph, fl, fh
+                                    in zip(p_low, p_high, f_low, f_high)]))
+    return _canonical(u, {q + back: c * scale for q, c in quot},
+                      p._denom * abs(content), bound)
 
 
 def _normalize_den(den: LaurentPoly):
@@ -401,15 +617,18 @@ def _normalize_den(den: LaurentPoly):
     numerator and a normalized factor (leading coefficient 1, minimum
     exponents 0), the latter None when the denominator is a monomial."""
     u = den.universe
-    s = {n: -den.min_exp(n) for n in u}
-    den0 = den.shift(s)
-    if len(den0.terms) == 1:
-        c = den0.terms[(0,) * len(u)]
-        mono = LaurentPoly(u, {tuple(s[n] for n in u): Fraction(1) / c})
+    low, high = u._box(den._coeffs)
+    off = u._key(low)
+    # shifting keeps the lex order, so the leading term stays leading
+    c = Fraction(den._denom, den._coeffs[max(den._coeffs)])
+    mono = LaurentPoly._make(u, {-off: c.numerator}, c.denominator,
+                             max([0] + [abs(e) for e in low]))
+    if len(den._coeffs) == 1:
         return mono, None
-    c = den0.terms[max(den0.terms)]
-    mono = LaurentPoly(u, {tuple(s[n] for n in u): Fraction(1) / c})
-    return mono, den0 * (Fraction(1) / c)
+    den0 = LaurentPoly._make(u, {k - off: v for k, v in den._coeffs.items()},
+                             den._denom,
+                             _check_bound(max(h - l for l, h in zip(low, high))))
+    return mono, den0 * c
 
 
 class RatFunc:

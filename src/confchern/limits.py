@@ -5,7 +5,6 @@ projective configuration classes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -17,14 +16,16 @@ class LimitUndefinedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LimitSpec:
-    variable: str = "s"
-    direction: str = "to_zero"  # or "inverse_to_zero"
+    """The limit variable, and whether it goes to zero or its inverse
+    does."""
 
-    def __post_init__(self):
-        if self.direction not in ("to_zero", "inverse_to_zero"):
-            raise ValueError("unknown direction %r" % self.direction)
+    __slots__ = ("variable", "direction")
+
+    def __init__(self, variable: str = "s", direction: str = "to_zero"):
+        if direction not in ("to_zero", "inverse_to_zero"):
+            raise ValueError("unknown direction %r" % direction)
+        self.variable, self.direction = variable, direction
 
 
 def limit_map(f: RatFunc, spec: LimitSpec) -> RatFunc:
@@ -46,20 +47,18 @@ def limit_map(f: RatFunc, spec: LimitSpec) -> RatFunc:
     return RatFunc(num.coeff_of(s, d), den.coeff_of(s, d))
 
 
-@dataclass(frozen=True)
 class WeightedBundleSummand:
     """Rank-`multiplicity` piece of a normal bundle: character `base` times
     the `omega`-th power of the distinguished character on the dual."""
 
-    omega: int
-    base: RatFunc
-    multiplicity: int = 1
+    __slots__ = ("omega", "base", "multiplicity")
 
-    def __post_init__(self):
-        if self.omega == 0:
+    def __init__(self, omega: int, base: RatFunc, multiplicity: int = 1):
+        if omega == 0:
             raise ValueError("normal directions carry nonzero weights")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
+        self.omega, self.base, self.multiplicity = omega, base, multiplicity
 
 
 def lambda_quotient(summands: Sequence[WeightedBundleSummand]) -> RatFunc:
@@ -116,6 +115,8 @@ def check_bb_stability(n: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _PROP_UNIVERSE = VarUniverse(("a1", "y", "s"))
+# most random cases one run of the property suite may ask for
+COUNT_CAP = 10000
 
 
 def _random_poly(rng, require_s0: bool = False) -> LaurentPoly:
@@ -148,8 +149,8 @@ def run_limit_property_suite(seed: int = 0, count: int = 200):
     limit map on random admissible inputs.  Returns (failures, count)."""
     import random
 
-    if count < 1:
-        raise ValueError("count must be positive, got %d" % count)
+    if not 1 <= count <= COUNT_CAP:
+        raise ValueError("count must be in 1..%d, got %d" % (COUNT_CAP, count))
     rng = random.Random(seed)
     spec = LimitSpec("s", "to_zero")
     failures = 0

@@ -41,6 +41,119 @@ def parse_laurent_poly(universe: VarUniverse, text: str) -> LaurentPoly:
     return acc
 
 
+class DictPoly:
+    """Laurent polynomial by its definition: a dict from exponent tuples to
+    nonzero Fractions, with schoolbook arithmetic.  It is the reference for
+    LaurentPoly's integer numerators on packed keys."""
+
+    def __init__(self, universe: VarUniverse, terms):
+        self.universe = universe
+        self.terms = {tuple(e): Fraction(c) for e, c in dict(terms).items()
+                      if c}
+
+    @classmethod
+    def of(cls, p: LaurentPoly) -> "DictPoly":
+        return cls(p.universe, p.terms)
+
+    def _collect(self, pairs) -> "DictPoly":
+        acc = {}
+        for e, c in pairs:
+            acc[e] = acc.get(e, 0) + c
+        return DictPoly(self.universe, acc)
+
+    def __eq__(self, other) -> bool:
+        return self.universe == other.universe and self.terms == other.terms
+
+    def __add__(self, other):
+        return self._collect(list(self.terms.items())
+                             + list(other.terms.items()))
+
+    def __neg__(self):
+        return DictPoly(self.universe, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return self._collect((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                             for e1, c1 in self.terms.items()
+                             for e2, c2 in other.terms.items())
+
+    def __pow__(self, k: int):
+        result = DictPoly(self.universe, {(0,) * len(self.universe): 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def shift(self, vec):
+        return DictPoly(self.universe, {
+            tuple(x + y for x, y in zip(e, vec)): c
+            for e, c in self.terms.items()})
+
+    def min_exp(self, i: int) -> int:
+        return min((e[i] for e in self.terms), default=0)
+
+    def coeff_of(self, i: int, power: int):
+        return DictPoly(self.universe, {e[:i] + (0,) + e[i + 1:]: c
+                                        for e, c in self.terms.items()
+                                        if e[i] == power})
+
+    def translate(self, i: int, c: Fraction):
+        """x_i -> x_i + c, term by term by the binomial theorem."""
+        return self._collect((e[:i] + (j,) + e[i + 1:],
+                              coeff * math.comb(e[i], j) * c ** (e[i] - j))
+                             for e, coeff in self.terms.items()
+                             for j in range(e[i] + 1))
+
+    def substitute(self, images):
+        """images: variable index -> (c, exponent tuple), x_i -> c x^exps."""
+        pairs = []
+        for e, coeff in self.terms.items():
+            vec = list(e)
+            for i, (c, mono) in images.items():
+                vec[i] -= e[i]
+                coeff *= Fraction(c) ** e[i]
+                vec = [v + m * e[i] for v, m in zip(vec, mono)]
+            pairs.append((tuple(vec), coeff))
+        return self._collect(pairs)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), reverse=True)
+
+    def __str__(self) -> str:
+        parts = []
+        for e, c in self.sorted_terms():
+            parts.append(" * ".join(
+                [str(c)] + [name if x == 1 else "%s^%d" % (name, x)
+                            for name, x in zip(self.universe.names, e) if x]))
+        return " + ".join(parts) or "0"
+
+    def exact_div(self, f: "DictPoly"):
+        """Quotient by f in the Laurent ring, or None: both operands shifted
+        to minimum exponents 0 and divided over Q by lex-leading terms, a
+        miss once a quotient exponent goes negative."""
+        if not self.terms:
+            return self
+        n = len(self.universe)
+        p_low = [min(e[i] for e in self.terms) for i in range(n)]
+        f_low = [min(e[i] for e in f.terms) for i in range(n)]
+        rem = self.shift([-x for x in p_low]).terms
+        f0 = f.shift([-x for x in f_low]).terms
+        lead = max(f0)
+        quot = {}
+        while rem:
+            top = max(rem)
+            q = tuple(a - b for a, b in zip(top, lead))
+            if min(q, default=0) < 0:
+                return None
+            quot[q] = rem[top] / f0[lead]
+            step = DictPoly(self.universe, {q: quot[q]}) * f
+            rem = (DictPoly(self.universe, rem)
+                   - step.shift([-x for x in f_low])).terms
+        return DictPoly(self.universe, quot).shift(
+            [a - b for a, b in zip(p_low, f_low)])
+
+
 class OrderedPartition:
     """Sequence of nonempty disjoint blocks covering {1..k}; order matters."""
 

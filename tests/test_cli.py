@@ -108,12 +108,14 @@ def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     ["check", "--name", "residue", "--N", "-2"],
     ["check", "--name", "limits-props", "--count", "0"],
     ["check", "--name", "limits-props", "--count", "-3"],
+    ["check", "--name", "limits-props", "--count", "10001"],
 ], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point",
         "s1-order-cap", "s3-point-order-cap", "orbit-k-zero",
         "recursion-k-zero", "bb-stability-k-zero", "szeregi-order-zero",
         "s1-order-zero", "s2-order-zero", "s3-point-order-zero",
         "residue-order-zero", "residue-order-negative",
-        "limits-props-count-zero", "limits-props-count-negative"])
+        "limits-props-count-zero", "limits-props-count-negative",
+        "limits-props-count-cap"])
 def test_usage_error_exit_2(argv, capsys):
     # malformed input or a cap violation: exit code 2, a message on stderr
     code, out, err = run(argv, capsys)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confchern.laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
-                               VarUniverse, ZeroDenominatorError, _exact_div)
-from oracles import parse_laurent_poly
+from confchern.laurent import (EXP_LIMIT, ExponentOverflowError, LaurentPoly,
+                               RatFunc, UniverseMismatchError, VarUniverse,
+                               ZeroDenominatorError, _exact_div)
+from oracles import DictPoly, parse_laurent_poly
 
 U = VarUniverse(("a1", "a2", "y"))
 
@@ -383,3 +384,143 @@ def test_exact_div_none_iff_sympy_remainder(p, q, f, multiple):
 
     _, rem = sympy.div(to_sympy(_shifted(p)), to_sympy(_shifted(f)))
     assert (_exact_div(p, f) is None) == (not rem.is_zero)
+
+
+# -- integer storage against the definition ----------------------------------
+
+def _nonneg_in(name):
+    """p -> p shifted so that `name` has no negative power."""
+    def shift(p):
+        return p.shift({name: max(0, -p.min_exp(name))})
+    return shift
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), _coeff)
+def test_ring_operations_match_oracle(p, q, c):
+    dp, dq = DictPoly.of(p), DictPoly.of(q)
+    assert DictPoly.of(p + q) == dp + dq
+    assert DictPoly.of(p - q) == dp - dq
+    assert DictPoly.of(-p) == -dp
+    assert DictPoly.of(p * q) == dp * dq
+    assert DictPoly.of(p * c) == dp * DictPoly(U, {(0, 0, 0): c})
+    assert DictPoly.of(p + c) == dp + DictPoly(U, {(0, 0, 0): c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.integers(min_value=0, max_value=3))
+def test_pow_matches_oracle(p, k):
+    assert DictPoly.of(p ** k) == DictPoly.of(p) ** k
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.fixed_dictionaries({v: _exp for v in U.names}),
+       st.sampled_from(range(len(U))), _exp)
+def test_structure_queries_match_oracle(p, vec, i, power):
+    dp, name = DictPoly.of(p), U.names[i]
+    assert DictPoly.of(p.shift(vec)) == dp.shift([vec[v] for v in U.names])
+    assert p.min_exp(name) == dp.min_exp(i)
+    assert DictPoly.of(p.coeff_of(name, power)) == dp.coeff_of(i, power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.sampled_from(range(len(U))), _coeff)
+def test_translate_matches_oracle(p, i, c):
+    p = _nonneg_in(U.names[i])(p)
+    assert DictPoly.of(p.translate(U.names[i], c)) \
+        == DictPoly.of(p).translate(i, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), monomial_bindings())
+def test_substitute_matches_oracle(p, bindings):
+    images = {}
+    for name, value in bindings.items():
+        if isinstance(value, RatFunc):
+            value = value.num
+        if isinstance(value, LaurentPoly):
+            [(exps, c)] = value.terms.items()
+            images[U.index(name)] = (c, exps)
+        else:
+            images[U.index(name)] = (value, (0,) * len(U))
+    assert DictPoly.of(p.substitute(bindings)) \
+        == DictPoly.of(p).substitute(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_rendering_matches_oracle(p):
+    dp = DictPoly.of(p)
+    assert p.sorted_terms() == dp.sorted_terms()
+    assert str(p) == str(dp)
+
+
+@st.composite
+def monic_divisors(draw):
+    """Divisors with leading coefficient 1 and, mostly, non-integer other
+    coefficients: the quotient by the primitive part then needs Gauss's
+    lemma to stay integral."""
+    f = draw(polys(min_terms=2).filter(lambda f: len(f.terms) >= 2))
+    lead = DictPoly.of(f).sorted_terms()[0][1]
+    return f * (1 / lead)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), nonzero_polys | monic_divisors(), nonzero_polys,
+       st.booleans())
+def test_exact_div_matches_oracle(p, f, q, multiple):
+    if multiple:
+        p = q * f
+    got = _exact_div(p, f)
+    want = DictPoly.of(p).exact_div(DictPoly.of(f))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert DictPoly.of(got) == want
+
+
+# -- exactness and overflow guards -------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys())
+def test_terms_are_fractions(p, q):
+    for r in (p, p * q, p + q, p * 2, lp("a1") * 3):
+        assert all(type(c) is Fraction for c in r.terms.values())
+        assert all(type(c) is Fraction for _, c in r.sorted_terms())
+
+
+def test_const_value_is_a_fraction():
+    third = RatFunc.const(U, 1) / 3
+    assert type(third.const_value()) is Fraction
+    assert third.const_value() == Fraction(1, 3)
+    x = rf("a1")
+    two = (x * 2) / x
+    assert type(two.const_value()) is Fraction
+    assert two.const_value() == 2
+
+
+def test_terms_view_reads_tuples():
+    p = 3 * lp("a1", -2) * lp("y") + Fraction(1, 2)
+    assert len(p.terms) == 2
+    assert p.terms[(-2, 0, 1)] == 3
+    assert (0, 0, 0) in p.terms and (1, 0, 0) not in p.terms
+    assert p.terms == {(-2, 0, 1): Fraction(3), (0, 0, 0): Fraction(1, 2)}
+
+
+def test_exponent_overflow_raises():
+    big = 2 ** 70
+    assert issubclass(ExponentOverflowError, ValueError)
+    with pytest.raises(ExponentOverflowError):
+        LaurentPoly(U, {(big, 0, 0): 1})
+    with pytest.raises(ExponentOverflowError):
+        RatFunc.from_json({"universe": list(U.names),
+                           "num": [{"coeff": "1", "exps": {"a1": big}}],
+                           "den": [{"coeff": "1", "exps": {}}]})
+    with pytest.raises(ExponentOverflowError):
+        lp("a1") ** big
+    p = lp("a1") * lp("y", -1)
+    with pytest.raises(ExponentOverflowError):
+        for _ in range(80):
+            p = p ** 2
+    with pytest.raises(ExponentOverflowError):
+        lp("a1", EXP_LIMIT) * lp("a1")
+    assert lp("a1", EXP_LIMIT).terms == {(EXP_LIMIT, 0, 0): 1}
