@@ -147,32 +147,25 @@ def lambda_y_proj(t: TorusData, i: int):
     return numer, denom
 
 
-def _falling_factorial(x: RatFunc, e: RatFunc, k: int) -> RatFunc:
-    """prod_{m<k} (x - m e) for k >= 1; by exp(x log(1+t)) = (1+t)^x it equals
-    the sum over set partitions P of [k] of a(P) x^|P| e^(k-|P|)."""
-    acc = x
-    for m in range(1, k):
-        acc = acc * (x - m * e)
-    return acc
-
-
 def mc_conf_generic(data: LocalClassData, k: int) -> RatFunc:
     """Configuration-space class from point data:
     sum over partitions of a(P) * mcB^|P| * euTM^(k - |P|)
-    = prod_{m<k} (mcB - m euTM)."""
+    = prod_{m<k} (mcB - m euTM), by exp(x log(1+t)) = (1+t)^x."""
     _check_k(k)
-    return _falling_factorial(data.mcB, data.euTM, k)
+    acc = data.mcB
+    for m in range(1, k):
+        acc = acc * (data.mcB - m * data.euTM)
+    return acc
 
 
 def mc_conf_affine(t: TorusData, k: int) -> RatFunc:
     """Class of the configuration space of affine n-space at the origin:
     the point-data class at mcB = prod_j (1 + y/a_j), euTM = euler_point(t),
     that is prod_{m<k} (mcB - m euTM)."""
-    _check_k(k)
     mcB = t.one()
     for j in range(1, t.n + 1):
         mcB = mcB * (1 + t.y / t.a(j))
-    return _falling_factorial(mcB, euler_point(t), k)
+    return mc_conf_generic(LocalClassData(mcB, euler_point(t)), k)
 
 
 def mc_conf_proj_refinement_sum(t: TorusData, e: ProjFixedPoint) -> RatFunc:
@@ -195,15 +188,14 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     """Class of the configuration space of projective (n-1)-space restricted
     to a fixed point: `mc_conf_proj_refinement_sum` evaluated as the product
     over the blocks C of the coincidence partition of
-    prod_{m<|C|} (lambda_y - m lambda_{-1})(i_C).
+    prod_{m<|C|} (lambda_y - m lambda_{-1})(i_C), the point-data class at
+    mcB = lambda_y, euTM = lambda_{-1}.
     """
     _check_k(e.k)
-    if any(i > t.n for i in e.iota):
-        raise ValueError("fixed point index exceeds n")
     acc = t.one()
     for block in e.induced_partition().blocks:
         lam_y, lam_m1 = lambda_y_proj(t, e.iota[block[0] - 1])
-        acc = acc * _falling_factorial(lam_y, lam_m1, len(block))
+        acc = acc * mc_conf_generic(LocalClassData(lam_y, lam_m1), len(block))
     return acc
 
 

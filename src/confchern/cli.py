@@ -41,9 +41,20 @@ def _parse_list(option: str, text: str, convert) -> list:
                          % (option, text)) from None
 
 
-def cmd_conf_affine(args) -> int:
-    t = TorusData.standard(args.n)
-    _emit(mc_conf_affine(t, args.k), args.output)
+# class command -> (help, builder); a builder maps (n, k) to the class.
+# The lambdas read the library names when they run.
+CLASSES = {
+    "conf-affine": ("affine configuration class",
+                    lambda n, k: mc_conf_affine(TorusData.standard(n), k)),
+    "orbit": ("pairwise independent vectors class",
+              lambda n, k: mc_orbit_conf(TorusData.standard(n, k=k), k)),
+    "orbit-full": ("vanishing-allowed orbit class",
+                   lambda n, k: mc_orbit_full(TorusData.standard(n, k=k), k)),
+}
+
+
+def cmd_class(args) -> int:
+    _emit(CLASSES[args.command][1](args.n, args.k), args.output)
     return 0
 
 
@@ -51,18 +62,6 @@ def cmd_conf_proj(args) -> int:
     t = TorusData.standard(args.n)
     e = ProjFixedPoint(tuple(_parse_list("--point", args.point, int)))
     _emit(mc_conf_proj_at(t, e), args.output)
-    return 0
-
-
-def cmd_orbit(args) -> int:
-    t = TorusData.standard(args.n, k=args.k)
-    _emit(mc_orbit_conf(t, args.k), args.output)
-    return 0
-
-
-def cmd_orbit_full(args) -> int:
-    t = TorusData.standard(args.n, k=args.k)
-    _emit(mc_orbit_full(t, args.k), args.output)
     return 0
 
 
@@ -131,11 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("conf-affine", help="affine configuration class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_conf_affine)
+    for name, (text, _) in CLASSES.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        common(p)
+        p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("conf-proj", help="projective class at a fixed point")
     p.add_argument("--n", type=int, required=True)
@@ -143,18 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated axis indices, e.g. 1,1,2")
     common(p)
     p.set_defaults(func=cmd_conf_proj)
-
-    p = sub.add_parser("orbit", help="pairwise independent vectors class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("orbit-full", help="vanishing-allowed orbit class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_orbit_full)
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--name", choices=tuple(CHECKS), required=True)

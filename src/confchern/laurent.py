@@ -643,34 +643,30 @@ class RatFunc:
     exponent in every variable is zero.
     """
 
-    __slots__ = ("universe", "num", "_factors", "_den")
+    __slots__ = ("universe", "num", "_factors")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
-        if den is None:
-            self._init_parts(num, {})
-            return
-        _check_same(num, den)
-        if den.is_zero():
-            raise ZeroDenominatorError("zero denominator")
-        if num.is_zero():
+        factors = {}
+        if den is not None:
+            _check_same(num, den)
+            if den.is_zero():
+                raise ZeroDenominatorError("zero denominator")
             # as in _make: the zero function carries no denominator
-            self._init_parts(num, {})
-            return
-        scaled, factor = _normalize_den(den)
-        self._init_parts(num * scaled, {factor: 1} if factor is not None else {})
-
-    def _init_parts(self, num: LaurentPoly, factors: dict):
+            if not num.is_zero():
+                scaled, factor = _normalize_den(den)
+                num = num * scaled
+                if factor is not None:
+                    factors[factor] = 1
         self.universe = num.universe
         self.num = num
         self._factors = factors
-        self._den = None
 
     @classmethod
     def _make(cls, num: LaurentPoly, factors: dict) -> "RatFunc":
         self = object.__new__(cls)
-        if num.is_zero():
-            factors = {}
-        self._init_parts(num, dict(factors))
+        self.universe = num.universe
+        self.num = num
+        self._factors = {} if num.is_zero() else dict(factors)
         return self
 
     def _reduced(self) -> "RatFunc":
@@ -692,12 +688,12 @@ class RatFunc:
 
     @property
     def den(self) -> LaurentPoly:
-        if self._den is None:
-            d = LaurentPoly.const(self.universe, 1)
-            for f, power in self._factors.items():
-                d = d * f ** power
-            self._den = d
-        return self._den
+        """The product of the factor powers, computed on each read."""
+        d = None
+        for f, power in self._factors.items():
+            fp = f if power == 1 else f ** power
+            d = fp if d is None else d * fp
+        return LaurentPoly.const(self.universe, 1) if d is None else d
 
     # -- constructors ------------------------------------------------------
 
@@ -841,10 +837,8 @@ class RatFunc:
         return self.num.const_value() / self.den.const_value()
 
     def __str__(self) -> str:
-        if self.den.is_const():
-            d = self.den.const_value()
-            if d == 1:
-                return str(self.num)
+        if not self._factors:
+            return str(self.num)
         return "(%s) / (%s)" % (self.num, self.den)
 
     def __repr__(self) -> str:

@@ -89,23 +89,19 @@ def positive_weight_count(summands: Sequence[WeightedBundleSummand]) -> int:
 
 
 def check_bb_stability(n: int, k: int) -> bool:
-    """Dropping the last weight direction: substituting a_n := 1/u and
-    sending u to zero in the n-weight projective configuration class must
-    reproduce the (n-1)-weight class, at every fixed point avoiding the
-    last axis."""
+    """Dropping the last weight direction: sending a_n to infinity (the
+    `inverse_to_zero` limit in a_n) in the n-weight projective
+    configuration class must reproduce the (n-1)-weight class, at every
+    fixed point avoiding the last axis."""
     if not 2 <= n <= 4 or not 1 <= k <= 3:
         raise ValueError("capped at 2 <= n <= 4, 1 <= k <= 3")
-    universe = VarUniverse(tuple("a%d" % i for i in range(1, n + 1)) + ("y", "u"))
-    alpha = tuple("a%d" % i for i in range(1, n + 1))
-    t_full = TorusData(universe, alpha)
-    t_small = TorusData(universe, alpha[:-1])
-    inv_u = RatFunc.var(universe, "u", -1)
-    spec = LimitSpec("u", "to_zero")
+    t_full = TorusData.standard(n)
+    t_small = TorusData(t_full.universe, t_full.alpha[:-1])
+    spec = LimitSpec(t_full.alpha[-1], "inverse_to_zero")
     for iota in product(range(1, n), repeat=k):
         e = ProjFixedPoint(iota)
-        big = mc_conf_proj_at(t_full, e).substitute({alpha[-1]: inv_u})
-        small = mc_conf_proj_at(t_small, e)
-        if limit_map(big, spec) != small:
+        if limit_map(mc_conf_proj_at(t_full, e), spec) \
+                != mc_conf_proj_at(t_small, e):
             return False
     return True
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import List
 
 PARTITION_CAP = 12
@@ -115,25 +115,12 @@ def enumerate_refinements(p0: SetPartition) -> List[SetPartition]:
     """All partitions of [k] each of whose blocks lies inside a block of p0."""
     if len(p0) == 1:
         return enumerate_partitions(p0.k)
-    per_block = []
-    for b in p0.blocks:
-        m = len(b)
-        subparts = []
-        for q in enumerate_partitions(m):
-            subparts.append([tuple(b[i - 1] for i in qb) for qb in q.blocks])
-        per_block.append(subparts)
-
-    out = []
-
-    def combine(i, acc):
-        if i == len(per_block):
-            out.append(SetPartition(p0.k, acc))
-            return
-        for sub in per_block[i]:
-            combine(i + 1, acc + sub)
-
-    combine(0, [])
-    return out
+    # each block's partitions, relabelled onto the block's own elements
+    per_block = [[[tuple(b[i - 1] for i in qb) for qb in q.blocks]
+                  for q in enumerate_partitions(len(b))]
+                 for b in p0.blocks]
+    return [SetPartition(p0.k, [blk for sub in choice for blk in sub])
+            for choice in product(*per_block)]
 
 
 def partition_sum(p0: SetPartition, block_weight, one):

@@ -146,15 +146,29 @@ class TruncSeries:
 # Generating-series identity checks
 # ---------------------------------------------------------------------------
 
+def _egf(universe: VarUniverse, n_order: int, coeff) -> TruncSeries:
+    """The exponential generating series 1 + sum_k coeff(k) t^k/k!."""
+    return TruncSeries(universe, n_order, [RatFunc.const(universe, 1)] + [
+        Fraction(1, math.factorial(k)) * coeff(k)
+        for k in range(1, n_order + 1)])
+
+
 def _partition_series(universe: VarUniverse, n_order: int,
                       block_weight) -> TruncSeries:
     """1 + sum_k (t^k/k!) sum_P a(P) prod_{B in P} w(B), with P running over
     the set partitions of [k]."""
     one = RatFunc.const(universe, 1)
-    return TruncSeries(universe, n_order, [one] + [
-        Fraction(1, math.factorial(k))
-        * partition_sum(SetPartition(k, [range(1, k + 1)]), block_weight, one)
-        for k in range(1, n_order + 1)])
+    return _egf(universe, n_order, lambda k: partition_sum(
+        SetPartition(k, [range(1, k + 1)]), block_weight, one))
+
+
+def _block_size_identity(universe: VarUniverse, n_order: int, x) -> bool:
+    """The partition series with block weight x(|B|) against its exp-log
+    form exp(sum_u (-1)^(u-1) x(u) t^u / u)."""
+    lhs = _partition_series(universe, n_order, lambda b: x(len(b)))
+    arg = [RatFunc.const(universe, 0)] + [
+        Fraction((-1) ** (u - 1), u) * x(u) for u in range(1, n_order + 1)]
+    return lhs == TruncSeries(universe, n_order, arg).exp()
 
 
 def _check_order(n_order: int):
@@ -174,14 +188,8 @@ def check_partition_exp_identity(n_order: int) -> bool:
     """
     _check_order(n_order)
     universe = VarUniverse(tuple("x%d" % u for u in range(1, n_order + 1)))
-
-    def x(u):
-        return RatFunc.var(universe, "x%d" % u)
-
-    lhs = _partition_series(universe, n_order, lambda b: x(len(b)))
-    arg = [RatFunc.const(universe, 0)] + [
-        Fraction((-1) ** (u - 1), u) * x(u) for u in range(1, n_order + 1)]
-    return lhs == TruncSeries(universe, n_order, arg).exp()
+    return _block_size_identity(
+        universe, n_order, lambda u: RatFunc.var(universe, "x%d" % u))
 
 
 def check_point_series(n_order: int) -> bool:
@@ -204,27 +212,18 @@ def check_point_series_ambient(n_order: int) -> bool:
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     e = RatFunc.var(universe, "e")
-    lhs = _partition_series(universe, n_order,
-                            lambda b: m * e ** (len(b) - 1))
-    # log(1 + e t)/e expanded termwise; no division by the symbol e needed
-    arg = [RatFunc.const(universe, 0)] + [
-        Fraction((-1) ** (u - 1), u) * m * e ** (u - 1)
-        for u in range(1, n_order + 1)]
-    return lhs == TruncSeries(universe, n_order, arg).exp()
+    # m log(1 + e t)/e expanded termwise: no division by the symbol e
+    return _block_size_identity(universe, n_order,
+                                lambda u: m * e ** (u - 1))
 
 
 def orbit_series(n: int, n_order: int) -> TruncSeries:
     """Exponential series of the orbit-configuration classes, over the
     weight universe (scaling weights specialized to 1)."""
     t_data = TorusData.standard(n, k=n_order)
-    universe = t_data.universe
     ones = {name: 1 for name in t_data.beta}
-    coeffs = [t_data.one()]
-    for k in range(1, n_order + 1):
-        cls = mc_orbit_conf(t_data, k).substitute(ones)
-        coeffs.append(Fraction(1, math.factorial(k))
-                      * (cls / euler_point(t_data, k)))
-    return TruncSeries(universe, n_order, coeffs)
+    return _egf(t_data.universe, n_order, lambda k: mc_orbit_conf(
+        t_data, k).substitute(ones) / euler_point(t_data, k))
 
 
 def orbit_series_sides(n: int, n_order: int):
@@ -243,9 +242,13 @@ def orbit_series_sides(n: int, n_order: int):
     return lhs, rhs
 
 
-def check_orbit_series(n: int, n_order: int) -> bool:
+def _check_orbit_size(n: int, n_order: int):
     if n > 3 or not 1 <= n_order <= 4:
         raise ValueError("orbit series check capped at n <= 3, 1 <= N <= 4")
+
+
+def check_orbit_series(n: int, n_order: int) -> bool:
+    _check_orbit_size(n, n_order)
     lhs, rhs = orbit_series_sides(n, n_order)
     return lhs == rhs
 
@@ -254,13 +257,9 @@ def orbit_full_series(n: int, n_order: int) -> TruncSeries:
     """Exponential series of the vanishing-allowed orbit classes (scaling
     weights specialized to 1)."""
     t_data = TorusData.standard(n, k=n_order)
-    universe = t_data.universe
     ones = {name: 1 for name in t_data.beta}
-    coeffs = [t_data.one()]
-    for k in range(1, n_order + 1):
-        coeff = mc_orbit_full(t_data, k).substitute(ones)
-        coeffs.append(Fraction(1, math.factorial(k)) * coeff)
-    return TruncSeries(universe, n_order, coeffs)
+    return _egf(t_data.universe, n_order,
+                lambda k: mc_orbit_full(t_data, k).substitute(ones))
 
 
 def check_orbit_full_series(n: int, n_order: int) -> bool:
@@ -272,6 +271,7 @@ def check_orbit_full_series(n: int, n_order: int) -> bool:
     n=1: the k=1 coefficient of the full space is m_1 + 1, which only the
     (1+t)*f form reproduces.)
     """
+    _check_orbit_size(n, n_order)
     lhs = orbit_full_series(n, n_order)
     f = orbit_series(n, n_order)
     one_plus_t = TruncSeries.const(f.universe, n_order, 1) \
@@ -287,7 +287,11 @@ class PoleOrderError(ValueError):
     pass
 
 
-def residue_at(f: RatFunc, var: str, pole: Fraction, max_order: int = 8) -> RatFunc:
+# highest pole order `residue_at` solves for
+MAX_POLE_ORDER = 8
+
+
+def residue_at(f: RatFunc, var: str, pole: Fraction) -> RatFunc:
     """Coefficient of 1/(var - pole) in the Laurent expansion of f.
 
     The function must be rational in `var`; remaining variables ride along
@@ -307,8 +311,8 @@ def residue_at(f: RatFunc, var: str, pole: Fraction, max_order: int = 8) -> RatF
     m = b - a
     if m <= 0:
         return zero
-    if m > max_order:
-        raise PoleOrderError("pole order %d exceeds max_order %d" % (m, max_order))
+    if m > MAX_POLE_ORDER:
+        raise PoleOrderError("pole order %d exceeds %d" % (m, MAX_POLE_ORDER))
     # f = var^-m * (sum_j N_{a+j} var^j) / (sum_j D_{b+j} var^j) with
     # D_b != 0; the quotient's coefficients c_j satisfy
     # sum_{i<=j} c_i D_{b+j-i} = N_{a+j}, and the residue is c_{m-1}

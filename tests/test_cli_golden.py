@@ -35,6 +35,7 @@ GOLDEN = """\
 0 c18b6ebf96c812bdf5cb25ba00c1bc0950bc3e0081cd41ce6f9447ec4dfbdb98 conf-affine --n 3 --k 2 --output json
 0 d3ad9783f9a05485d5c40dba39514f58c87e41447bc21e532f48084aa2d1d28f conf-affine --n 3 --k 3 --output text
 0 e1af4ab7bbbfc8439189423336d5e760ff2ce7e39ce17294880dbae3b9093ad3 conf-affine --n 3 --k 3 --output json
+0 852e53cc0353c0db801173dab33bdb412443b4acd0ded998ecd58be0b922a59a conf-affine --n 3 --k 4 --output text
 0 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865 conf-proj --n 1 --point 1 --output text
 0 0c5ee3146e0fdec72e273bb3b77a6d946702d53a330b390a9792dbf41b27abea conf-proj --n 1 --point 1 --output json
 0 9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa conf-proj --n 1 --point 1,1 --output text
@@ -163,6 +164,8 @@ GOLDEN = """\
 0 d31b8a6d6518d1418d9c7b748655a3a9a53811b8623768d985debb99c7e8b402 orbit-full --n 2 --k 1 --output json
 0 e05853b33c5bb447f3a435be8b0325475adac4efb8d7b6caef7388bf284c13e8 orbit-full --n 2 --k 2 --output text
 0 7e8149a2039738c4e70f4cb8eaf4767defa669773c462246af81ca83c59c9f20 orbit-full --n 2 --k 2 --output json
+0 3bd70f19c85cc0c91ffd43a4903dc219e6bb252439e7223126558f096a598ccf orbit-full --n 2 --k 3 --output text
+0 e55915183eca30e1fd4f0b512f605f4dba6c63f144bdb78431ab8849a4967f0f orbit-full --n 2 --k 3 --output json
 0 aef7d9fa9910f530d3eb6ef1a609bc455e44c24a920f1dc85329750706d11dc6 check --name a-oracle --k 4
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name szeregi --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 5
@@ -171,6 +174,7 @@ GOLDEN = """\
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas 2,3 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 2 --k 2
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 4 --k 3
 0 573c3e560e3e1910805a353d82de46a1986cb96fffd55b986dcc4524314e34ed check --name recursion --n 2 --k 3
 0 24acda4837390294522f260446ee1496cbb1daed4ea24762db7c4c8d4d114e30 check --name recursion --n 3 --k 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 4 --output json

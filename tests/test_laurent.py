@@ -127,6 +127,35 @@ def test_canonical_denominator_shift():
         assert f.den.min_exp(name) == 0
 
 
+def test_den_of_one_factor_runs_no_product(monkeypatch):
+    f = RatFunc(lp("y"), lp("a1") - 1)
+    want = lp("a1") - 1
+    products = []
+    real_mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    assert f.den == want
+    assert str(f) == "(1 * y) / (1 * a1 + -1)"
+    assert products == []
+
+
+def test_den_is_product_of_factor_powers():
+    f1 = lp("a1") - 1
+    f2 = lp("a2") * lp("y") + 1
+    f3 = lp("a1") + lp("a2")
+    # a product of inverses keeps three factors; dividing by the expanded
+    # product would make it a single factor
+    g = rf("y") * RatFunc(f1).inverse() ** 2 * RatFunc(f2).inverse() \
+        * RatFunc(f3).inverse() ** 3
+    assert g._factors == {f1: 2, f2: 1, f3: 3}
+    assert g.den == f1 * f1 * f2 * f3 * f3 * f3
+    assert RatFunc(g.num, g.den) == g
+
+
 def test_rf_not_hashable():
     with pytest.raises(TypeError):
         hash(rf("a1"))

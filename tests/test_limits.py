@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from confchern import limits
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.limits import (LimitSpec, LimitUndefinedError,
                               WeightedBundleSummand, check_bb_stability,
@@ -135,6 +136,13 @@ def test_property_suite_sample():
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1)])
 def test_bb_stability_small(n, k):
     assert check_bb_stability(n, k)
+
+
+def test_bb_stability_needs_the_limit(monkeypatch):
+    # without the limit the n-weight class keeps a_n, so it cannot equal
+    # the (n-1)-weight class
+    monkeypatch.setattr(limits, "limit_map", lambda f, spec: f)
+    assert check_bb_stability(3, 2) is not True
 
 
 def test_bb_stability_caps():

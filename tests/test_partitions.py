@@ -113,6 +113,20 @@ def test_refinements_examples():
     assert got == {p0, singletons}
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_refinements_are_the_refining_partitions(k):
+    # every p0 with k <= 5: the refinements are exactly the partitions of
+    # [k] whose blocks each lie in a block of p0, in no repeated order
+    partitions = enumerate_partitions(k)
+    for p0 in partitions:
+        inside = {i: set(b) for b in p0.blocks for i in b}
+        want = [p for p in partitions
+                if all(set(b) <= inside[b[0]] for b in p.blocks)]
+        got = enumerate_refinements(p0)
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_block_size_profile_counts(k):
     # number of partitions with block sizes λ is k! / prod_i (i!)^n_i n_i!

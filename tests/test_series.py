@@ -146,6 +146,13 @@ def test_orbit_series_caps():
         check_orbit_series(4, 2)
 
 
+@pytest.mark.parametrize("n,N", [(4, 2), (2, 0), (2, 5)])
+def test_orbit_full_series_caps(n, N):
+    # the same cap as check_orbit_series
+    with pytest.raises(ValueError, match="capped at n <= 3, 1 <= N <= 4"):
+        check_orbit_full_series(n, N)
+
+
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 2)])
 def test_orbit_full_series_small(n, N):
     assert check_orbit_full_series(n, N)
@@ -192,9 +199,9 @@ def test_residue_no_pole():
 
 
 def test_residue_order_cap():
-    f = 1 / (_z() - 2) ** 3
+    assert residue_at(1 / (_z() - 2) ** 8, "z", Fraction(2)) == 0
     with pytest.raises(PoleOrderError):
-        residue_at(f, "z", Fraction(2), max_order=2)
+        residue_at(1 / (_z() - 2) ** 9, "z", Fraction(2))
 
 
 def _zp(c0, c1=0):
@@ -215,7 +222,7 @@ def test_residue_double_pole_at_origin():
     f = RatFunc(_zp(1, 1), _zp(0, 1) ** 2)
     assert residue_at(f, "z", Fraction(0)) == 1
     with pytest.raises(PoleOrderError):
-        residue_at(f, "z", Fraction(0), max_order=1)
+        residue_at(RatFunc(_zp(1, 1), _zp(0, 1) ** 9), "z", Fraction(0))
 
 
 def test_residue_double_pole_examples():
