@@ -97,20 +97,22 @@ def _check_limits_props(args) -> bool:
 
 
 # check name -> (default parameters, runner); a runner returns whether the
-# check passed.  The lambdas read the library names when they run.
+# check passed.  A check reads exactly the parameters it has defaults for.
+# The lambdas read the library names when they run.
 CHECKS = {
     "a-oracle": (dict(k=5), _check_a_oracle),
     "szeregi": (dict(N=5), lambda args: check_partition_exp_identity(args.N)),
     "s1": (dict(N=5), lambda args: check_point_series(args.N)),
     "s2": (dict(n=2, N=3), lambda args: check_orbit_series(args.n, args.N)),
     "s3-point": (dict(N=5), lambda args: check_point_series_ambient(args.N)),
-    "residue": (dict(N=3), lambda args: check_residue_form(
+    "residue": (dict(alphas="2,3", N=3), lambda args: check_residue_form(
         _parse_list("--alphas", args.alphas, Fraction), args.N)),
     "bb-stability": (dict(n=3, k=2),
                      lambda args: check_bb_stability(args.n, args.k)),
     "recursion": (dict(n=3, k=3), _check_recursion),
-    "limits-props": (dict(), _check_limits_props),
+    "limits-props": (dict(seed=0, count=200), _check_limits_props),
 }
+CHECK_PARAMS = ("n", "k", "N", "alphas", "seed", "count")
 
 
 def cmd_check(args) -> int:
@@ -146,13 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--name", choices=tuple(CHECKS), required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--alphas", type=str, default="2,3",
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--N", type=int)
+    p.add_argument("--alphas", type=str,
                    help="comma-separated rationals, e.g. 2,1/2 or -2,3")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int,
                    help="random cases of limits-props, 1..%d" % COUNT_CAP)
     common(p)
     p.set_defaults(func=cmd_check)
@@ -168,10 +170,15 @@ def main(argv=None) -> int:
         if argv[i] == "--alphas" and not argv[i + 1].startswith("--"):
             argv[i:i + 2] = ["--alphas=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
-    if getattr(args, "name", None):
-        for key, value in CHECKS[args.name][0].items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+    if args.command == "check":
+        defaults = CHECKS[args.name][0]
+        for key in CHECK_PARAMS:
+            if getattr(args, key) is None:
+                setattr(args, key, defaults.get(key))
+            elif key not in defaults:
+                print("error: check %s does not take --%s" % (args.name, key),
+                      file=sys.stderr)
+                return 2
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -8,6 +8,7 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import collections.abc
+import heapq
 import math
 import operator
 import struct
@@ -546,8 +547,58 @@ def _monomial_image(name: str, value, universe: VarUniverse):
                      % (name, value))
 
 
+def _binomial_misses(p: LaurentPoly, f: LaurentPoly) -> bool:
+    """Whether a binomial f = c_u X^u + c_v X^v certainly does not divide
+    p, decided by one substitution pass; False when the test does not
+    apply (see _exact_div)."""
+    u = p.universe
+    (ku, cu), (kv, cv) = f._coeffs.items()
+    w = [a - b for a, b in zip(u._unpack(ku), u._unpack(kv))]
+    if 1 in w:
+        i = w.index(1)
+    elif -1 in w:
+        i = w.index(-1)
+        ku, cu, kv, cv = kv, cv, ku, cu
+    else:
+        return False
+    # the substituted exponents are within _bound * (1 + max |w_j|)
+    if p._bound * (1 + max(map(abs, w))) > EXP_LIMIT:
+        return False
+    # x_i = gamma X^m with gamma = a/b, a = -cv, b = cu, m = e_i - w moves
+    # c X^k with k_i = e to c gamma^e X^(k - e w); every term is scaled
+    # by a^-lo b^hi to keep the sums in integers
+    move = kv - ku
+    a, b = -cv, cu
+    digits = u._digits(p._coeffs, i)
+    lo, hi = min(digits), max(digits)
+    scale = {e: a ** (e - lo) * b ** (hi - e) for e in set(digits)}
+    acc: dict = {}
+    get = acc.get
+    for (k, c), e in zip(p._coeffs.items(), digits):
+        key = k + e * move
+        acc[key] = get(key, 0) + c * scale[e]
+    return any(acc.values())
+
+
 def _exact_div(p: LaurentPoly, f: LaurentPoly):
     """Quotient p/f if f divides p exactly (up to monomials), else None.
+
+    A binomial f = c_u X^u + c_v X^v with an entry w_i = +-1 of w = u - v
+    is first tested by substitution.  Up to a unit, such an f is
+    x_i - gamma X^m with gamma = -c_v/c_u (for w_i = 1; swap u and v for
+    -1) and m_i = 0: degree 1 in x_i with a monomial constant term.  Over
+    the ring of Laurent polynomials in the other variables, a power of x_i
+    times p divided by it leaves the remainder p(x_i = gamma X^m) times a
+    unit, so f divides p exactly when that substitution is zero.  One pass
+    over p's keys adds e * (v - u) to a key of x_i-degree e and scales its
+    numerator by a power of gamma's numerator and denominator; a nonzero
+    sum is a miss, returned before anything else runs.  When the
+    substituted exponents could leave the packed digit range (p's bound
+    times 1 + max |w_j| beyond EXP_LIMIT), a carry could merge distinct
+    terms into a false zero, so the pass is skipped and long division
+    decides.  (A carry cannot turn a hit into a miss: merged sums of zero
+    sums are zero.)  Every other case, and every binomial that passes,
+    goes on to long division.
 
     Monomial factors always divide in the Laurent ring, so divisibility is
     tested after shifting both operands to nonnegative exponents.  p's
@@ -556,12 +607,18 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     leading coefficient that leaves a remainder is a miss.  The remainder
     lives in one dict that each step updates in place: the lex-leading
     term is cancelled against f's leading term, and only the terms that
-    f's other terms touch are rewritten.  A quotient term has exponents in
-    the box [0, span(p) - span(f)], so a step outside it is a miss too;
-    that keeps every exponent of the remainder within span(p).
+    f's other terms touch are rewritten.  The leading term comes off a heap
+    of negated keys beside the dict (Johnson's heap division): a key is
+    pushed when it enters the remainder, and a popped key that has since
+    left it is skipped, so the steps are those of taking max(rem) each
+    time.  A quotient term has exponents in the box
+    [0, span(p) - span(f)], so a step outside it is a miss too; that keeps
+    every exponent of the remainder within span(p).
     """
     if p.is_zero():
         return p
+    if len(f._coeffs) == 2 and _binomial_misses(p, f):
+        return None
     u = p.universe
     p_low, p_high = u._box(p._coeffs)
     f_low, f_high = u._box(f._coeffs)
@@ -571,6 +628,8 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
         return None
     p_off, f_off = u._key(p_low), u._key(f_low)
     rem = {k - p_off: c for k, c in p._coeffs.items()}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
     # f = (content / f._denom) * primitive part, with a positive lead
     content = math.gcd(*f._coeffs.values())
     f0 = {k - f_off: c // content for k, c in f._coeffs.items()}
@@ -585,20 +644,28 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     guard = u._guard
     top_q = u._key(room) + guard
     quot = []
+    get, pop, push = rem.get, heapq.heappop, heapq.heappush
     while rem:
-        top = max(rem)
+        top = -pop(heap)
+        top_c = rem.pop(top, 0)
+        if not top_c:
+            continue
         q = top - lead
         if (q + guard) & (top_q - q) & guard != guard:
             return None
-        q_c, r = divmod(rem.pop(top), lead_c)
+        q_c, r = divmod(top_c, lead_c)
         if r:
             return None
         quot.append((q, q_c))
         for e, c in rest:
             key = q + e
-            s = rem.get(key, 0) - q_c * c
-            if s:
-                rem[key] = s
+            d = q_c * c
+            old = get(key)
+            if old is None:
+                rem[key] = -d
+                push(heap, -key)
+            elif old != d:
+                rem[key] = old - d
             else:
                 del rem[key]
     # undo the shifts and the content:

@@ -109,19 +109,43 @@ def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     ["check", "--name", "limits-props", "--count", "0"],
     ["check", "--name", "limits-props", "--count", "-3"],
     ["check", "--name", "limits-props", "--count", "10001"],
+    ["check", "--name", "szeregi", "--n", "4"],
+    ["check", "--name", "a-oracle", "--N", "3"],
+    ["check", "--name", "s2", "--k", "2"],
+    ["check", "--name", "recursion", "--alphas", "2,3"],
+    ["check", "--name", "residue", "--seed", "1"],
+    ["check", "--name", "bb-stability", "--count", "5"],
+    ["check", "--name", "limits-props", "--n", "2"],
 ], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point",
         "s1-order-cap", "s3-point-order-cap", "orbit-k-zero",
         "recursion-k-zero", "bb-stability-k-zero", "szeregi-order-zero",
         "s1-order-zero", "s2-order-zero", "s3-point-order-zero",
         "residue-order-zero", "residue-order-negative",
         "limits-props-count-zero", "limits-props-count-negative",
-        "limits-props-count-cap"])
+        "limits-props-count-cap", "szeregi-unused-n", "a-oracle-unused-N",
+        "s2-unused-k", "recursion-unused-alphas", "residue-unused-seed",
+        "bb-stability-unused-count", "limits-props-unused-n"])
 def test_usage_error_exit_2(argv, capsys):
     # malformed input or a cap violation: exit code 2, a message on stderr
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_unused_check_parameter_is_named(capsys):
+    code, out, err = run(["check", "--name", "szeregi", "--N", "3",
+                          "--n", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: check szeregi does not take --n\n"
+
+
+def test_output_accepted_by_every_check(capsys, monkeypatch):
+    for name, (defaults, _) in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, (defaults, lambda args: True))
+        code, _, err = run(["check", "--name", name, "--output", "json"],
+                           capsys)
+        assert (code, err) == (0, "")
 
 
 def test_unknown_check_name_rejected(capsys):

@@ -498,13 +498,69 @@ def monic_divisors(draw):
 @given(polys(), nonzero_polys | monic_divisors(), nonzero_polys,
        st.booleans())
 def test_exact_div_matches_oracle(p, f, q, multiple):
-    if multiple:
-        p = q * f
+    _assert_exact_div_matches_oracle(q * f if multiple else p, f)
+
+
+def _assert_exact_div_matches_oracle(p, f):
     got = _exact_div(p, f)
     want = DictPoly.of(p).exact_div(DictPoly.of(f))
     assert (got is None) == (want is None)
     if got is not None:
         assert DictPoly.of(got) == want
+
+
+_no_unit_exp = st.sampled_from((-3, -2, 0, 2, 3))
+
+
+@st.composite
+def binomial_divisors(draw):
+    """c1 X^u + c2 X^v, half of them with an entry +-1 in w = u - v (tested
+    by substitution), half with none (long division only)."""
+    v = tuple(draw(_exp) for _ in U.names)
+    if draw(st.booleans()):
+        w = [draw(_exp) for _ in U.names]
+        w[draw(st.sampled_from(range(len(U))))] = draw(st.sampled_from((1, -1)))
+    else:
+        w = [draw(_no_unit_exp) for _ in U.names]
+        assume(any(w))
+    u = tuple(a + b for a, b in zip(v, w))
+    c1, c2 = draw(_coeff), draw(_coeff)
+    assume(c1 and c2)
+    return LaurentPoly(U, {u: c1, v: c2})
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), binomial_divisors(), nonzero_polys, st.booleans())
+def test_exact_div_by_binomial_matches_oracle(p, f, q, multiple):
+    _assert_exact_div_matches_oracle(q * f if multiple else p, f)
+
+
+@pytest.mark.parametrize("f", [
+    2 * lp("a1") - 3 * lp("y"),
+    lp("a1", -1) * lp("a2") + Fraction(1, 2),
+    lp("a1", 2) - lp("y", 2),
+    lp("a1", 2) * lp("y", 2) - 4,
+], ids=["unit-entry", "unit-entry-laurent", "difference-of-squares",
+        "no-unit-entry-constant"])
+def test_exact_div_by_fixed_binomials(f):
+    q = lp("a1") * lp("a2", -1) + 5 * lp("y", 2) - 1
+    assert _exact_div(q * f, f) == q
+    assert _exact_div(q * f + 1, f) is None
+    _assert_exact_div_matches_oracle(q * f + 1, f)
+
+
+def test_exact_div_by_binomial_beyond_the_digit_range():
+    # substituting a2 = a1^(EXP_LIMIT//2) into a2^3 takes a1's exponent
+    # past EXP_LIMIT, and y = a2^(EXP_LIMIT//2) into y^8 carries a2's
+    # digit into a1's, where it meets a1 a2^-8
+    half = EXP_LIMIT // 2
+    pairs = [(lp("a2", 3) + 1, lp("a2") - lp("a1", half)),
+             (lp("y", 8) - lp("a1") * lp("a2", -8), lp("y") - lp("a2", half))]
+    for p, f in pairs:
+        assert _exact_div(p, f) is None
+        assert _exact_div(p * f, f) == p
+        _assert_exact_div_matches_oracle(p, f)
+        _assert_exact_div_matches_oracle(p * f, f)
 
 
 # -- exactness and overflow guards -------------------------------------------
