@@ -12,18 +12,20 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .classes import (ProjFixedPoint, TorusData, mc_conf_affine,
+from .classes import (K_CAP, ProjFixedPoint, TorusData, mc_conf_affine,
                       mc_conf_proj_at, mc_conf_proj_recursion,
                       mc_conf_proj_refinement_sum, mc_orbit_conf,
                       mc_orbit_full)
 from .laurent import RatFunc
-from .partitions import (coefficient_a, coefficient_a_graph_oracle,
-                         enumerate_partitions)
+from .partitions import (GRAPH_ORACLE_CAP, coefficient_a,
+                         coefficient_a_graph_oracle, enumerate_partitions)
 from .series import (check_orbit_series, check_partition_exp_identity,
                      check_point_series, check_point_series_ambient,
                      check_residue_form)
 from .limits import (COUNT_CAP, check_bb_stability, lambda_quotient_sweep,
                      run_limit_property_suite)
+
+RECURSION_CAP = 256  # the recursion check visits n^k fixed points
 
 
 def _emit(rf: RatFunc, output: str):
@@ -66,6 +68,9 @@ def cmd_conf_proj(args) -> int:
 
 
 def _check_a_oracle(args) -> bool:
+    # refused before the Bell(k) partitions are built
+    if args.k > GRAPH_ORACLE_CAP:
+        raise ValueError("graph oracle capped at k <= %d" % GRAPH_ORACLE_CAP)
     parts = enumerate_partitions(args.k)
     good = sum(1 for p in parts
                if coefficient_a(p) == coefficient_a_graph_oracle(p))
@@ -76,6 +81,10 @@ def _check_a_oracle(args) -> bool:
 
 def _check_recursion(args) -> bool:
     t = TorusData.standard(args.n)
+    if not 1 <= args.k <= K_CAP or args.n ** args.k > RECURSION_CAP:
+        raise ValueError("recursion check capped at 1 <= k <= %d and "
+                         "n^k <= %d, got %d^%d"
+                         % (K_CAP, RECURSION_CAP, args.n, args.k))
     bad = 0
     total = 0
     for tup in product(range(1, args.n + 1), repeat=args.k):

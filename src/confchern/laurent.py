@@ -89,6 +89,13 @@ class VarUniverse:
 
     # -- packed exponent keys ----------------------------------------------
 
+    def _vector(self, exps: Mapping[str, int]) -> list:
+        """Exponent vector with the given exponent per name, 0 elsewhere."""
+        vec = [0] * len(self.names)
+        for name, e in exps.items():
+            vec[self.index(name)] = e
+        return vec
+
     def _key(self, vec) -> int:
         """Packed key of an exponent vector, unchecked."""
         return sum(map(operator.mul, vec, self._place))
@@ -267,26 +274,12 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, universe: VarUniverse, exps: Mapping[str, int],
                  coeff: Scalar = 1) -> "LaurentPoly":
-        vec = [0] * len(universe)
-        for name, e in exps.items():
-            vec[universe.index(name)] = e
-        return cls(universe, {tuple(vec): coeff})
+        return cls(universe, {tuple(universe._vector(exps)): coeff})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def is_const(self) -> bool:
-        return not self._coeffs or (len(self._coeffs) == 1
-                                    and 0 in self._coeffs)
-
-    def const_value(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        if not self.is_const():
-            raise ValueError("not a constant: %s" % self)
-        return Fraction(self._coeffs[0], self._denom)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -355,11 +348,8 @@ class LaurentPoly:
             for k2, c2 in inner:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-        coeffs = {k: c for k, c in acc.items() if c}
-        denom = self._denom * other._denom
-        if denom == 1:
-            return LaurentPoly._make(self.universe, coeffs, 1, bound)
-        return _canonical(self.universe, coeffs, denom, bound)
+        return _canonical(self.universe, {k: c for k, c in acc.items() if c},
+                          self._denom * other._denom, bound)
 
     __rmul__ = __mul__
 
@@ -400,9 +390,7 @@ class LaurentPoly:
     def shift(self, exps: Mapping[str, int]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponents."""
         u = self.universe
-        vec = [0] * len(u)
-        for name, e in exps.items():
-            vec[u.index(name)] = e
+        vec = u._vector(exps)
         off = u._pack(vec)
         bound = _check_bound(self._bound + max(map(abs, vec), default=0))
         return LaurentPoly._make(u, {k + off: c
@@ -516,16 +504,6 @@ class LaurentPoly:
             e = {name: v for name, v in zip(self.universe.names, exps) if v}
             out.append({"coeff": str(coeff), "exps": e})
         return out
-
-    @classmethod
-    def from_json_terms(cls, universe: VarUniverse, terms: list) -> "LaurentPoly":
-        acc = {}
-        for t in terms:
-            vec = [0] * len(universe)
-            for name, e in t["exps"].items():
-                vec[universe.index(name)] = int(e)
-            acc[tuple(vec)] = Fraction(t["coeff"])
-        return cls(universe, acc)
 
 
 def _monomial_image(name: str, value, universe: VarUniverse):
@@ -799,24 +777,26 @@ class RatFunc:
         for f, power in other._factors.items():
             if merged.get(f, 0) < power:
                 merged[f] = power
-        left = self.num
+        left, right = self.num, other.num
         for f, power in merged.items():
             extra = power - self._factors.get(f, 0)
             if extra:
                 left = left * f ** extra
-        right = other.num
-        for f, power in merged.items():
             extra = power - other._factors.get(f, 0)
             if extra:
                 right = right * f ** extra
         return left, right, merged
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self, other) over the common denominator, op add or sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         left, right, merged = self._over_common_den(other)
-        return RatFunc._make(left + right, merged)._reduced()
+        return RatFunc._make(op(left, right), merged)._reduced()
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -824,11 +804,7 @@ class RatFunc:
         return RatFunc._make(-self.num, self._factors)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        left, right, merged = self._over_common_den(other)
-        return RatFunc._make(left - right, merged)._reduced()
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -883,9 +859,6 @@ class RatFunc:
         left, right, _ = self._over_common_den(other)
         return left == right
 
-    def __hash__(self):
-        raise TypeError("RatFunc is not hashable (equality is semantic)")
-
     # -- misc --------------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object]) -> "RatFunc":
@@ -899,9 +872,6 @@ class RatFunc:
                     "substitution vanishes on the denominator")
             result = result * RatFunc(fs) ** (-power)
         return result
-
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
 
     def __str__(self) -> str:
         if not self._factors:
@@ -917,10 +887,3 @@ class RatFunc:
             "num": self.num.to_json_terms(),
             "den": self.den.to_json_terms(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RatFunc":
-        universe = VarUniverse(obj["universe"])
-        return cls(LaurentPoly.from_json_terms(universe, obj["num"]),
-                   LaurentPoly.from_json_terms(universe, obj["den"]))
-

@@ -47,23 +47,19 @@ class SetPartition:
 
 
 def enumerate_partitions(k: int) -> List[SetPartition]:
-    """All set partitions of [k] in restricted-growth-string order."""
+    """All set partitions of [k] in restricted-growth-string order.  Those
+    of [x] come from those of [x-1]: x joins each block in turn, then opens
+    a new one, which appends 0, 1, ... to each string, keeping the order."""
     if not 1 <= k <= PARTITION_CAP:
         raise ValueError("k must be in 1..%d, got %d" % (PARTITION_CAP, k))
-    out = []
-
-    # rgs[i] = block index of element i+1; rgs[i] <= max(rgs[:i]) + 1
-    def grow(rgs, nblocks):
-        if len(rgs) == k:
-            blocks = [[] for _ in range(nblocks)]
-            for i, b in enumerate(rgs):
-                blocks[b].append(i + 1)
-            out.append(SetPartition(k, blocks))
-            return
-        for b in range(nblocks + 1):
-            grow(rgs + [b], max(nblocks, b + 1))
-
-    grow([0], 1)
+    out = [((1,),)]
+    for x in range(2, k + 1):
+        out = [blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]
+               if i < len(blocks) else blocks + ((x,),)
+               for blocks in out for i in range(len(blocks) + 1)]
+    # in place, so the tuples and the partitions are not all held at once
+    for i, blocks in enumerate(out):
+        out[i] = SetPartition(k, blocks)
     return out
 
 
@@ -126,12 +122,16 @@ def enumerate_refinements(p0: SetPartition) -> List[SetPartition]:
 def partition_sum(p0: SetPartition, block_weight, one):
     """Sum over the refinements P of p0 of a(P) * prod_{B in P} w(B), where
     w = `block_weight` maps a block (a sorted tuple) into the ring with unit
-    `one`.  For the one-block p0 this runs over all set partitions of [k]."""
+    `one`.  For the one-block p0 this runs over all set partitions of [k].
+    Each distinct block's weight is computed once."""
     total = 0 * one
+    weights = {}
     for p in enumerate_refinements(p0):
         term = coefficient_a(p) * one
         for block in p.blocks:
-            term = term * block_weight(block)
+            if block not in weights:
+                weights[block] = block_weight(block)
+            term = term * weights[block]
         total = total + term
     return total
 

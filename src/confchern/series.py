@@ -105,9 +105,6 @@ class TruncSeries:
             return NotImplemented
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        raise TypeError("TruncSeries is not hashable")
-
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""
         if not self.coeffs[0].is_zero():
@@ -359,16 +356,14 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
         f = residue_form_factor(universe, alphas, u)
         res0 = residue_at(f, "z", Fraction(0))
         res1 = residue_at(f, "z", Fraction(1))
-        res_alpha = [residue_at(f, "z", a) for a in alphas]
+        res_alpha = sum((residue_at(f, "z", a) for a in alphas),
+                        RatFunc.const(universe, 0))
         # (a) z=0 residue: t^u coefficient of log(1 - t(1+y))/(1+y)
         expect0 = Fraction(-1, u) * (1 + y) ** (u - 1)
         if res0 != expect0:
             return False
         # (b) total residue over the finite poles vanishes
-        total = res0 + res1
-        for r in res_alpha:
-            total = total + r
-        if not total.is_zero():
+        if not (res0 + res1 + res_alpha).is_zero():
             return False
         # (c) -sum of weight-pole residues = exponent of the orbit series
         expect = RatFunc.const(universe, 0)
@@ -379,9 +374,6 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
                     lam = lam * (1 + (a / b) * y) / (1 - a / b)
             expect = expect + Fraction((-1) ** (u - 1), u) \
                 * ((1 + y) / (a - 1)) ** u * lam
-        acc = RatFunc.const(universe, 0)
-        for r in res_alpha:
-            acc = acc + r
-        if -acc != expect:
+        if -res_alpha != expect:
             return False
     return True

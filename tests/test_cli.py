@@ -6,7 +6,6 @@ import pytest
 
 from confchern import classes, cli
 from confchern.classes import ProjFixedPoint, TorusData, mc_conf_proj_at
-from confchern.laurent import RatFunc
 
 
 def run(argv, capsys):
@@ -21,10 +20,9 @@ def test_conf_proj_json_round_trip(capsys):
     assert code == 0
     blob = json.loads(out)
     assert set(blob) == {"universe", "num", "den"}
-    got = RatFunc.from_json(blob)
     t = TorusData.standard(2)
     want = mc_conf_proj_at(t, ProjFixedPoint((1, 1)))
-    assert got == want
+    assert blob == want.to_json()
 
 
 def test_output_deterministic(capsys):
@@ -76,6 +74,16 @@ def test_check_recursion(capsys):
     assert "4/4" in out
 
 
+def test_check_a_oracle_cap_precedes_enumeration(capsys, monkeypatch):
+    def refuse(k):
+        raise AssertionError("enumerated Bell(%d) partitions" % k)
+
+    monkeypatch.setattr(cli, "enumerate_partitions", refuse)
+    code, out, err = run(["check", "--name", "a-oracle", "--k", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: graph oracle capped at k <= 6\n"
+
+
 def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     # the recursion is built on mc_conf_proj_at, so a check that compares
     # the two with each other passes a wrong product; the definition does not
@@ -99,6 +107,8 @@ def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     ["check", "--name", "s3-point", "--N", "8"],
     ["orbit", "--n", "2", "--k", "0"],
     ["check", "--name", "recursion", "--k", "0"],
+    ["check", "--name", "recursion", "--n", "5", "--k", "4"],
+    ["check", "--name", "recursion", "--n", "2", "--k", "8"],
     ["check", "--name", "bb-stability", "--k", "0"],
     ["check", "--name", "szeregi", "--N", "0"],
     ["check", "--name", "s1", "--N", "0"],
@@ -118,7 +128,8 @@ def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     ["check", "--name", "limits-props", "--n", "2"],
 ], ids=["cap", "alphas-zero-denominator", "negative-n", "empty-point",
         "s1-order-cap", "s3-point-order-cap", "orbit-k-zero",
-        "recursion-k-zero", "bb-stability-k-zero", "szeregi-order-zero",
+        "recursion-k-zero", "recursion-cap", "recursion-k-cap",
+        "bb-stability-k-zero", "szeregi-order-zero",
         "s1-order-zero", "s2-order-zero", "s3-point-order-zero",
         "residue-order-zero", "residue-order-negative",
         "limits-props-count-zero", "limits-props-count-negative",

@@ -156,6 +156,9 @@ GOLDEN = """\
 0 679b9e4fb05797cbe26d96ae0e76267e5325127eeefdfadefa6664f0cc442898 orbit --n 2 --k 1 --output json
 0 0e554bdfd5a81492426eaa1d7909e172c8ccd507e7fa9673317b3412350857d1 orbit --n 2 --k 2 --output text
 0 0d25389d4f95d65898a25c9d3565e1d81ce3007e54fa0c8fd270bb32724e9525 orbit --n 2 --k 2 --output json
+0 24cab08dc1b321061952c6e2544cfd112a3d6bc8c401a9dc0c730edb27b64017 orbit --n 2 --k 4 --output text
+0 38d1e1d668359589238d839bf331b61520eba66ff949133edacc165f7fd60ed8 orbit --n 2 --k 4 --output json
+0 e0f6b53a1e6986d4593c0886a993949d850854d326e9e22fefa6cf97f8bb1e34 orbit --n 3 --k 3 --output json
 0 1c2db87579384df2a3066cecb5c9c5cc5e563c98930669551c3b95b16b9ba569 orbit-full --n 1 --k 1 --output text
 0 1761ef1d41b8169afe010d924c4e2163b684f8cfd0e6f36e31298f9bf02a78dd orbit-full --n 1 --k 1 --output json
 0 1e018afd62a00026416e77eeb8b909daf75d4ad71b4cf17711613d2aef0674f8 orbit-full --n 1 --k 2 --output text
@@ -167,12 +170,14 @@ GOLDEN = """\
 0 3bd70f19c85cc0c91ffd43a4903dc219e6bb252439e7223126558f096a598ccf orbit-full --n 2 --k 3 --output text
 0 e55915183eca30e1fd4f0b512f605f4dba6c63f144bdb78431ab8849a4967f0f orbit-full --n 2 --k 3 --output json
 0 aef7d9fa9910f530d3eb6ef1a609bc455e44c24a920f1dc85329750706d11dc6 check --name a-oracle --k 4
+0 9c0ef4f31c16b4bfab80756a8ff5b54314b32e9984969e60aa391a488c39ef4e check --name a-oracle --k 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name szeregi --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s3-point --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 1 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas 2,3 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2 --N 2
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2,3 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 2 --k 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 4 --k 3
 0 573c3e560e3e1910805a353d82de46a1986cb96fffd55b986dcc4524314e34ed check --name recursion --n 2 --k 3

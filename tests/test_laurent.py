@@ -221,9 +221,10 @@ def test_text_round_trip():
 def test_json_round_trip():
     f = RatFunc(lp("a1") + lp("y"), lp("a2") + 1)
     blob = json.dumps(f.to_json(), sort_keys=True)
-    again = RatFunc.from_json(json.loads(blob))
-    assert again == f
-    assert json.dumps(again.to_json(), sort_keys=True) == blob
+    assert json.loads(blob) == f.to_json()
+    # canonical: the same function built another way prints the same bytes
+    g = (rf("y") + rf("a1")) * 3 / (3 * rf("a2") + 3)
+    assert json.dumps(g.to_json(), sort_keys=True) == blob
 
 
 # -- property tests ----------------------------------------------------------
@@ -369,7 +370,6 @@ def test_substitute_zero_into_positive_powers():
 @given(polys())
 def test_poly_serialization_round_trip(p):
     assert parse_laurent_poly(U, str(p)) == p
-    assert LaurentPoly.from_json_terms(U, p.to_json_terms()) == p
 
 
 # -- exact division ----------------------------------------------------------
@@ -573,16 +573,6 @@ def test_terms_are_fractions(p, q):
         assert all(type(c) is Fraction for _, c in r.sorted_terms())
 
 
-def test_const_value_is_a_fraction():
-    third = RatFunc.const(U, 1) / 3
-    assert type(third.const_value()) is Fraction
-    assert third.const_value() == Fraction(1, 3)
-    x = rf("a1")
-    two = (x * 2) / x
-    assert type(two.const_value()) is Fraction
-    assert two.const_value() == 2
-
-
 def test_terms_view_reads_tuples():
     p = 3 * lp("a1", -2) * lp("y") + Fraction(1, 2)
     assert len(p.terms) == 2
@@ -596,10 +586,6 @@ def test_exponent_overflow_raises():
     assert issubclass(ExponentOverflowError, ValueError)
     with pytest.raises(ExponentOverflowError):
         LaurentPoly(U, {(big, 0, 0): 1})
-    with pytest.raises(ExponentOverflowError):
-        RatFunc.from_json({"universe": list(U.names),
-                           "num": [{"coeff": "1", "exps": {"a1": big}}],
-                           "den": [{"coeff": "1", "exps": {}}]})
     with pytest.raises(ExponentOverflowError):
         lp("a1") ** big
     p = lp("a1") * lp("y", -1)

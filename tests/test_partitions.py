@@ -3,12 +3,14 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from confchern.partitions import (SetPartition, coefficient_a,
                                   coefficient_a_graph_oracle,
-                                  enumerate_partitions, enumerate_refinements)
+                                  enumerate_partitions, enumerate_refinements,
+                                  partition_sum)
 from oracles import (OrderedPartition, bell_number_oracle, connected_sum_b,
                      enumerate_ordered_partitions, parse_set_partition)
 
@@ -37,6 +39,18 @@ def test_enumerate_counts_match_bell_oracle(k):
     parts = enumerate_partitions(k)
     assert len(parts) == bell_number_oracle(k)
     assert len(set(parts)) == len(parts)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_enumerate_in_restricted_growth_string_order(k):
+    # strings s over [k] with s[0] = 0 and s[i] <= max(s[:i]) + 1, read
+    # from all k-tuples in lexicographic order; block j holds the positions
+    # of value j
+    strings = [s for s in product(range(k), repeat=k)
+               if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(k))]
+    want = [SetPartition(k, [[i + 1 for i in range(k) if s[i] == j]
+                             for j in range(max(s) + 1)]) for s in strings]
+    assert enumerate_partitions(k) == want
 
 
 def test_enumerate_cap():
@@ -99,6 +113,21 @@ def test_connected_sum_values():
 @pytest.mark.parametrize("k", range(1, 9))
 def test_connected_sum_closed_form(k):
     assert connected_sum_b(k) == Fraction((-1) ** (k - 1) * math.factorial(k - 1))
+
+
+def test_partition_sum_weighs_each_block_once():
+    # the 15 partitions of [4] hold 37 blocks, of 15 distinct ones
+    calls = []
+
+    def weight(block):
+        calls.append(block)
+        return Fraction(len(block))
+
+    p0 = SetPartition(4, [range(1, 5)])
+    want = sum(coefficient_a(p) * math.prod(len(b) for b in p.blocks)
+               for p in enumerate_partitions(4))
+    assert partition_sum(p0, weight, Fraction(1)) == want
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_refinements_examples():
