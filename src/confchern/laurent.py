@@ -147,10 +147,14 @@ def _check_same(a, b):
 
 
 def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+    # the exact type first: a failed isinstance against Fraction, an ABC,
+    # goes through ABCMeta.__instancecheck__
+    if type(x) is Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError("expected exact rational, got %r" % (x,))
 
 
@@ -285,10 +289,10 @@ class LaurentPoly:
 
     def _combine(self, other, sign: int):
         """self + sign * other over the least common denominator."""
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.universe, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(self.universe, other)
         _check_same(self, other)
         denom, d2 = self._denom, other._denom
         if denom == d2:
@@ -326,21 +330,30 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _as_fraction(other)
             if not c:
-                return LaurentPoly.zero(self.universe)
+                # the storage of a product by LaurentPoly.const(0), bound
+                # included
+                return LaurentPoly._make(self.universe, {}, 1, self._bound)
             n = c.numerator
             return _canonical(self.universe,
                               {k: v * n for k, v in self._coeffs.items()},
                               self._denom * c.denominator, self._bound)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         _check_same(self, other)
         bound = _check_bound(self._bound + other._bound)
         outer, inner = self._coeffs, other._coeffs
         if len(outer) > len(inner):
             outer, inner = inner, outer
+        if len(outer) == 1:
+            # a key shift and a scale: the keys stay distinct and the
+            # products nonzero, in the general loop's order
+            [(k0, c0)] = outer.items()
+            return _canonical(self.universe,
+                              {k + k0: c * c0 for k, c in inner.items()},
+                              self._denom * other._denom, bound)
         inner = list(inner.items())
         acc: dict = {}
         get = acc.get
@@ -356,20 +369,27 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("LaurentPoly power must be a nonnegative integer")
-        result = LaurentPoly.const(self.universe, 1)
+        if not k:
+            return LaurentPoly.const(self.universe, 1)
+        # square up to the lowest set bit of k, which starts the result
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
             k >>= 1
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.universe, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(self.universe, other)
         return (self.universe == other.universe
                 and self._denom == other._denom
                 and self._coeffs == other._coeffs)
@@ -708,10 +728,13 @@ class RatFunc:
 
     @classmethod
     def _make(cls, num: LaurentPoly, factors: dict) -> "RatFunc":
+        """Trusted constructor.  It keeps `factors` without a copy: every
+        caller passes a fresh dict or an operand's own, which no value
+        mutates."""
         self = object.__new__(cls)
         self.universe = num.universe
         self.num = num
-        self._factors = {} if num.is_zero() else dict(factors)
+        self._factors = {} if num.is_zero() else factors
         return self
 
     def _reduced(self) -> "RatFunc":
@@ -751,12 +774,12 @@ class RatFunc:
         return cls(LaurentPoly.var(universe, name, power))
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.universe, other)
-        if isinstance(other, LaurentPoly):
-            return RatFunc(other)
         if isinstance(other, RatFunc):
             return other
+        if isinstance(other, LaurentPoly):
+            return RatFunc(other)
+        if isinstance(other, (int, Fraction)):
+            return RatFunc.const(self.universe, other)
         return None
 
     # -- predicates --------------------------------------------------------
@@ -813,9 +836,15 @@ class RatFunc:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, RatFunc):
+            if isinstance(other, (int, Fraction)):
+                # a scalar scales the numerator; it is never lifted to a
+                # RatFunc constant
+                return RatFunc._make(self.num * other,
+                                     self._factors)._reduced()
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         _check_same(self, other)
         merged = dict(self._factors)
         for f, power in other._factors.items():
@@ -848,6 +877,8 @@ class RatFunc:
             raise TypeError("integer power expected")
         if k < 0:
             return self.inverse() ** (-k)
+        if k == 1:
+            return self
         factors = {f: power * k for f, power in self._factors.items()} if k else {}
         return RatFunc._make(self.num ** k, factors)
 

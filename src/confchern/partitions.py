@@ -30,6 +30,15 @@ class SetPartition:
         self.k = k
         self.blocks = tuple(sorted(blocks, key=lambda b: b[0]))
 
+    @classmethod
+    def _make(cls, k: int, blocks: tuple) -> "SetPartition":
+        """Trusted constructor for blocks that are already canonical: a
+        tuple of sorted tuples, ordered by least element."""
+        self = object.__new__(cls)
+        self.k = k
+        self.blocks = blocks
+        return self
+
     def __eq__(self, other):
         return (isinstance(other, SetPartition)
                 and self.k == other.k and self.blocks == other.blocks)
@@ -57,9 +66,11 @@ def enumerate_partitions(k: int) -> List[SetPartition]:
         out = [blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]
                if i < len(blocks) else blocks + ((x,),)
                for blocks in out for i in range(len(blocks) + 1)]
-    # in place, so the tuples and the partitions are not all held at once
+    # the blocks are canonical as built: x only ever joins a block after
+    # its smaller elements, and a new block opens last
+    make = SetPartition._make
     for i, blocks in enumerate(out):
-        out[i] = SetPartition(k, blocks)
+        out[i] = make(k, blocks)
     return out
 
 
@@ -127,7 +138,7 @@ def partition_sum(p0: SetPartition, block_weight, one):
     total = 0 * one
     weights = {}
     for p in enumerate_refinements(p0):
-        term = coefficient_a(p) * one
+        term = one * coefficient_a(p)
         for block in p.blocks:
             if block not in weights:
                 weights[block] = block_weight(block)

@@ -127,9 +127,7 @@ def test_canonical_denominator_shift():
         assert f.den.min_exp(name) == 0
 
 
-def test_den_of_one_factor_runs_no_product(monkeypatch):
-    f = RatFunc(lp("y"), lp("a1") - 1)
-    want = lp("a1") - 1
+def _counting_products(monkeypatch):
     products = []
     real_mul = LaurentPoly.__mul__
 
@@ -138,6 +136,13 @@ def test_den_of_one_factor_runs_no_product(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    return products
+
+
+def test_den_of_one_factor_runs_no_product(monkeypatch):
+    f = RatFunc(lp("y"), lp("a1") - 1)
+    want = lp("a1") - 1
+    products = _counting_products(monkeypatch)
     assert f.den == want
     assert str(f) == "(1 * y) / (1 * a1 + -1)"
     assert products == []
@@ -164,6 +169,34 @@ def test_rf_not_hashable():
 def test_negative_power():
     f = (1 + rf("a1")) ** -2
     assert f * (1 + rf("a1")) ** 2 == 1
+
+
+def test_first_power_runs_no_product(monkeypatch):
+    p = lp("a1") * lp("y", -1) + 2
+    f = RatFunc(lp("y") + 1, lp("a1") - 1)
+    products = _counting_products(monkeypatch)
+    assert p ** 1 == p
+    assert f ** 1 == f
+    assert products == []
+
+
+_UNREDUCED_NUM = (lp("y") + 1) * (lp("a1") - 1)
+
+
+@pytest.mark.parametrize("f", [
+    RatFunc(lp("y") + 1, lp("a1") - 1) * RatFunc(lp("a2"), lp("a2") + 2),
+    RatFunc(_UNREDUCED_NUM, lp("a1") - 1),
+    RatFunc(_UNREDUCED_NUM * lp("a2", -1),
+            (lp("a2") * lp("y") + 1) * (lp("a1") - 1)),
+], ids=["reduced", "unreduced-polynomial", "unreduced-with-factor"])
+@pytest.mark.parametrize("c", [0, 1, 3, -2, Fraction(-5, 2)])
+def test_scalar_product_storage_is_the_constant_product(f, c):
+    want = f * RatFunc.const(U, c)
+    for got in (f * c, c * f):
+        assert got.num._coeffs == want.num._coeffs
+        assert list(got.num._coeffs) == list(want.num._coeffs)
+        assert got.num._denom == want.num._denom
+        assert got._factors == want._factors
 
 
 # -- substitution ------------------------------------------------------------
@@ -436,8 +469,41 @@ def test_ring_operations_match_oracle(p, q, c):
     assert DictPoly.of(p + c) == dp + DictPoly(U, {(0, 0, 0): c})
 
 
-@settings(max_examples=40, deadline=None)
-@given(polys(), st.integers(min_value=0, max_value=3))
+@st.composite
+def one_term_polys(draw):
+    """A nonzero constant, or a monomial with negative exponents allowed,
+    each with a Fraction coefficient."""
+    c = draw(_coeff.filter(bool))
+    if draw(st.booleans()):
+        return LaurentPoly.const(U, c)
+    e = (draw(_exp), draw(_exp), draw(st.integers(min_value=0, max_value=2)))
+    return LaurentPoly(U, {e: c})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), one_term_polys())
+def test_one_term_product_matches_oracle(p, m):
+    want = DictPoly.of(p) * DictPoly.of(m)
+    [k0] = m._coeffs
+    for got in (p * m, m * p):
+        assert DictPoly.of(got) == want
+        if len(p._coeffs) > 1:
+            # the multi-term operand's term order, shifted
+            assert list(got._coeffs) == [k + k0 for k in p._coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.sampled_from([0, 1, 3, -2, Fraction(-5, 2)]))
+def test_scalar_product_matches_oracle(p, c):
+    want = p * LaurentPoly.const(U, c)
+    assert DictPoly.of(want) == DictPoly.of(p) * DictPoly(U, {(0, 0, 0): c})
+    for got in (p * c, c * p):
+        assert list(got._coeffs.items()) == list(want._coeffs.items())
+        assert (got._denom, got._bound) == (want._denom, want._bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_term_polys() | polys(), st.integers(min_value=0, max_value=5))
 def test_pow_matches_oracle(p, k):
     assert DictPoly.of(p ** k) == DictPoly.of(p) ** k
 
@@ -563,6 +629,32 @@ def test_exact_div_by_binomial_beyond_the_digit_range():
         _assert_exact_div_matches_oracle(p * f, f)
 
 
+def _storage(f):
+    """Everything a RatFunc holds, in order, copied."""
+    return (list(f.num._coeffs.items()), f.num._denom,
+            [(list(g._coeffs.items()), g._denom, power)
+             for g, power in f._factors.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratfuncs(), ratfuncs(), st.sampled_from([0, 3, Fraction(-5, 2)]))
+def test_operations_leave_operands_unchanged(f, g, c):
+    # values may share an operand's factor dict (-f, f * c, f ** 1 do),
+    # so operations on those must not reach into f either
+    before = _storage(f), _storage(g)
+    for a in (f, -f, f * c, c * f, f ** 1):
+        for b in (g, c):
+            a + b, a - b, b - a, a * b, b * a, a == b, b == a
+            if b:
+                a / b
+            if a:
+                b / a
+        -a, a ** 0, a ** 2
+        if a:
+            a.inverse(), a ** -1
+    assert (_storage(f), _storage(g)) == before
+
+
 # -- exactness and overflow guards -------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -594,4 +686,10 @@ def test_exponent_overflow_raises():
             p = p ** 2
     with pytest.raises(ExponentOverflowError):
         lp("a1", EXP_LIMIT) * lp("a1")
+    # a one-term operand, on either side of a longer one
+    many = lp("a1") + lp("y") + 1
+    for mono in (lp("a1", EXP_LIMIT), lp("y", -EXP_LIMIT) * 3):
+        for a, b in ((mono, many), (many, mono)):
+            with pytest.raises(ExponentOverflowError):
+                a * b
     assert lp("a1", EXP_LIMIT).terms == {(EXP_LIMIT, 0, 0): 1}

@@ -99,6 +99,17 @@ def test_coefficient_matches_graph_oracle_exhaustive(k):
         assert coefficient_a(p) == coefficient_a_graph_oracle(p)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_enumerated_partitions_are_canonical(k):
+    # enumerate_partitions builds its partitions without validation; each
+    # must be the partition that validation builds from its own blocks
+    for p in enumerate_partitions(k):
+        want = SetPartition(k, p.blocks)
+        assert p == want and hash(p) == hash(want)
+        assert type(p.blocks) is tuple
+        assert all(type(b) is tuple for b in p.blocks)
+
+
 def test_graph_oracle_cap():
     with pytest.raises(ValueError):
         coefficient_a_graph_oracle(SetPartition(7, [[i] for i in range(1, 8)]))
