@@ -11,9 +11,6 @@ from typing import Sequence
 from .laurent import RatFunc, VarUniverse
 from .partitions import SetPartition, partition_sum
 
-N_CAP = 6
-K_CAP = 7
-
 
 def standard_universe(n: int, k: int = 0) -> VarUniverse:
     names = ["a%d" % i for i in range(1, n + 1)]
@@ -38,8 +35,8 @@ class TorusData:
 
     @classmethod
     def standard(cls, n: int, k: int = 0) -> "TorusData":
-        if not 1 <= n <= N_CAP:
-            raise ValueError("n must be in 1..%d, got %d" % (N_CAP, n))
+        if n < 1:
+            raise ValueError("n must be at least 1, got %d" % n)
         u = standard_universe(n, k)
         return cls(u,
                    tuple("a%d" % i for i in range(1, n + 1)),
@@ -70,8 +67,10 @@ class ProjFixedPoint:
     __slots__ = ("iota",)
 
     def __init__(self, iota: Sequence[int]):
-        if any(i < 1 for i in iota):
-            raise ValueError("indices are 1-based")
+        # the class at an empty point would be the empty product, 1
+        if not iota or any(i < 1 for i in iota):
+            raise ValueError("a fixed point is a nonempty tuple of 1-based "
+                             "indices")
         self.iota = iota
 
     @property
@@ -95,11 +94,6 @@ class LocalClassData:
         if euTM.is_zero():
             raise ValueError("ambient Euler class must be nonzero")
         self.mcB, self.euTM = mcB, euTM
-
-
-def _check_k(k: int):
-    if not 1 <= k <= K_CAP:
-        raise ValueError("k must be in 1..%d, got %d" % (K_CAP, k))
 
 
 def mc_line_classes(universe: VarUniverse, alpha_var: str):
@@ -151,7 +145,9 @@ def mc_conf_generic(data: LocalClassData, k: int) -> RatFunc:
     """Configuration-space class from point data:
     sum over partitions of a(P) * mcB^|P| * euTM^(k - |P|)
     = prod_{m<k} (mcB - m euTM), by exp(x log(1+t)) = (1+t)^x."""
-    _check_k(k)
+    # k = 0 would be read as the empty product
+    if k < 1:
+        raise ValueError("k must be at least 1, got %d" % k)
     acc = data.mcB
     for m in range(1, k):
         acc = acc * (data.mcB - m * data.euTM)
@@ -174,7 +170,6 @@ def mc_conf_proj_refinement_sum(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     coincidence partition of a(P) prod_{B in P} lambda_y(i_B)
     lambda_{-1}(i_B)^(|B|-1).  Bell-number slow; the checks compare
     `mc_conf_proj_at` and `mc_conf_proj_recursion` against it."""
-    _check_k(e.k)
     lam = {i: lambda_y_proj(t, i) for i in set(e.iota)}
 
     def weight(block):
@@ -191,7 +186,6 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     prod_{m<|C|} (lambda_y - m lambda_{-1})(i_C), the point-data class at
     mcB = lambda_y, euTM = lambda_{-1}.
     """
-    _check_k(e.k)
     acc = t.one()
     for block in e.induced_partition().blocks:
         lam_y, lam_m1 = lambda_y_proj(t, e.iota[block[0] - 1])
@@ -216,7 +210,6 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     set partitions P of [k] of a(P) * prod_{B in P} w(B), where
     w(B) = sum_i prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j)
                  * prod_{a in B} prod_j psi(i, j, b_a a_j)."""
-    _check_k(k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
 
@@ -255,7 +248,6 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     """Localized class of the space of k vectors with pairwise distinct
     spanned lines where vectors are allowed to vanish: the strictly nonzero
     part plus k copies of the one-fewer-vector part."""
-    _check_k(k)
     main = mc_orbit_conf(t, k) / euler_point_beta(t, k)
     if k == 1:
         prev = t.one()
@@ -268,7 +260,6 @@ def mc_conf_proj_recursion(t: TorusData, e_extended: ProjFixedPoint) -> RatFunc:
     """Class at a length-(k+1) fixed point from the length-k prefix:
     prefix class times (lambda_y at the new point minus the number of
     coincidences times lambda_{-1})."""
-    _check_k(e_extended.k)
     iota = e_extended.iota
     last = iota[-1]
     prefix = iota[:-1]

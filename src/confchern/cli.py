@@ -12,27 +12,19 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .classes import (K_CAP, ProjFixedPoint, TorusData, mc_conf_affine,
+from .classes import (ProjFixedPoint, TorusData, mc_conf_affine,
                       mc_conf_proj_at, mc_conf_proj_recursion,
                       mc_conf_proj_refinement_sum, mc_orbit_conf,
                       mc_orbit_full)
-from .laurent import RatFunc
 from .partitions import (GRAPH_ORACLE_CAP, coefficient_a,
                          coefficient_a_graph_oracle, enumerate_partitions)
 from .series import (check_orbit_series, check_partition_exp_identity,
                      check_point_series, check_point_series_ambient,
                      check_residue_form)
-from .limits import (COUNT_CAP, check_bb_stability, lambda_quotient_sweep,
+from .limits import (check_bb_stability, lambda_quotient_sweep,
                      run_limit_property_suite)
 
 RECURSION_CAP = 256  # the recursion check visits n^k fixed points
-
-
-def _emit(rf: RatFunc, output: str):
-    if output == "json":
-        print(json.dumps(rf.to_json(), sort_keys=True))
-    else:
-        print(rf)
 
 
 def _parse_list(option: str, text: str, convert) -> list:
@@ -43,8 +35,15 @@ def _parse_list(option: str, text: str, convert) -> list:
                          % (option, text)) from None
 
 
-# class command -> (help, builder); a builder maps (n, k) to the class.
-# The lambdas read the library names when they run.
+# The size ranges of all commands live in CLASS_RANGES and CHECKS, and main
+# holds each parameter to its range before anything is built or run; the
+# library checks only its domain.  The class commands share one range.
+CLASS_RANGES = dict(n=(1, 6), k=(1, 7))
+
+# class command -> (help, builder); a builder maps (n, k) to the class, where
+# the k of conf-proj is the fixed point that main parses from --point, so
+# its length is held to the range of k.  The lambdas here and in CHECKS read
+# the library names when they run.
 CLASSES = {
     "conf-affine": ("affine configuration class",
                     lambda n, k: mc_conf_affine(TorusData.standard(n), k)),
@@ -52,25 +51,19 @@ CLASSES = {
               lambda n, k: mc_orbit_conf(TorusData.standard(n, k=k), k)),
     "orbit-full": ("vanishing-allowed orbit class",
                    lambda n, k: mc_orbit_full(TorusData.standard(n, k=k), k)),
+    "conf-proj": ("projective class at a fixed point",
+                  lambda n, e: mc_conf_proj_at(TorusData.standard(n), e)),
 }
 
 
 def cmd_class(args) -> int:
-    _emit(CLASSES[args.command][1](args.n, args.k), args.output)
-    return 0
-
-
-def cmd_conf_proj(args) -> int:
-    t = TorusData.standard(args.n)
-    e = ProjFixedPoint(tuple(_parse_list("--point", args.point, int)))
-    _emit(mc_conf_proj_at(t, e), args.output)
+    rf = CLASSES[args.command][1](args.n, args.k)
+    print(json.dumps(rf.to_json(), sort_keys=True)
+          if args.output == "json" else rf)
     return 0
 
 
 def _check_a_oracle(args) -> bool:
-    # refused before the Bell(k) partitions are built
-    if args.k > GRAPH_ORACLE_CAP:
-        raise ValueError("graph oracle capped at k <= %d" % GRAPH_ORACLE_CAP)
     parts = enumerate_partitions(args.k)
     good = sum(1 for p in parts
                if coefficient_a(p) == coefficient_a_graph_oracle(p))
@@ -80,15 +73,13 @@ def _check_a_oracle(args) -> bool:
 
 
 def _check_recursion(args) -> bool:
+    total = args.n ** args.k  # main has held n and k to their ranges
+    if total > RECURSION_CAP:
+        raise ValueError("check recursion takes n^k <= %d, got %d^%d"
+                         % (RECURSION_CAP, args.n, args.k))
     t = TorusData.standard(args.n)
-    if not 1 <= args.k <= K_CAP or args.n ** args.k > RECURSION_CAP:
-        raise ValueError("recursion check capped at 1 <= k <= %d and "
-                         "n^k <= %d, got %d^%d"
-                         % (K_CAP, RECURSION_CAP, args.n, args.k))
     bad = 0
-    total = 0
     for tup in product(range(1, args.n + 1), repeat=args.k):
-        total += 1
         e = ProjFixedPoint(tup)
         if mc_conf_proj_recursion(t, e) != mc_conf_proj_refinement_sum(t, e):
             bad += 1
@@ -105,21 +96,27 @@ def _check_limits_props(args) -> bool:
     return failures == 0 and sweep_bad == 0
 
 
-# check name -> (default parameters, runner); a runner returns whether the
-# check passed.  A check reads exactly the parameters it has defaults for.
-# The lambdas read the library names when they run.
+# check name -> (parameters, runner); a runner returns whether the check
+# passed.  A check reads exactly the parameters it lists, each as
+# (default, lowest, highest), with no bounds for one that is not a size.
 CHECKS = {
-    "a-oracle": (dict(k=5), _check_a_oracle),
-    "szeregi": (dict(N=5), lambda args: check_partition_exp_identity(args.N)),
-    "s1": (dict(N=5), lambda args: check_point_series(args.N)),
-    "s2": (dict(n=2, N=3), lambda args: check_orbit_series(args.n, args.N)),
-    "s3-point": (dict(N=5), lambda args: check_point_series_ambient(args.N)),
-    "residue": (dict(alphas="2,3", N=3), lambda args: check_residue_form(
-        _parse_list("--alphas", args.alphas, Fraction), args.N)),
-    "bb-stability": (dict(n=3, k=2),
+    "a-oracle": (dict(k=(5, 1, GRAPH_ORACLE_CAP)), _check_a_oracle),
+    "szeregi": (dict(N=(5, 1, 7)),
+                lambda args: check_partition_exp_identity(args.N)),
+    "s1": (dict(N=(5, 1, 7)), lambda args: check_point_series(args.N)),
+    "s2": (dict(n=(2, 1, 3), N=(3, 1, 4)),
+           lambda args: check_orbit_series(args.n, args.N)),
+    "s3-point": (dict(N=(5, 1, 7)),
+                 lambda args: check_point_series_ambient(args.N)),
+    "residue": (dict(alphas=("2,3", None, None), N=(3, 1, 3)),
+                lambda args: check_residue_form(
+                    _parse_list("--alphas", args.alphas, Fraction), args.N)),
+    "bb-stability": (dict(n=(3, 2, 4), k=(2, 1, 3)),
                      lambda args: check_bb_stability(args.n, args.k)),
-    "recursion": (dict(n=3, k=3), _check_recursion),
-    "limits-props": (dict(seed=0, count=200), _check_limits_props),
+    "recursion": (dict(n=(3, *CLASS_RANGES["n"]), k=(3, *CLASS_RANGES["k"])),
+                  _check_recursion),
+    "limits-props": (dict(seed=(0, None, None), count=(200, 1, 10000)),
+                     _check_limits_props),
 }
 CHECK_PARAMS = ("n", "k", "N", "alphas", "seed", "count")
 
@@ -137,38 +134,70 @@ def build_parser() -> argparse.ArgumentParser:
         prog="confchern",
         description="exact localized classes of configuration spaces")
     sub = parser.add_subparsers(dest="command", required=True)
+    k_range = "%d..%d" % CLASS_RANGES["k"]
 
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     for name, (text, _) in CLASSES.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=int, required=True,
+                       help="%d..%d" % CLASS_RANGES["n"])
+        if name == "conf-proj":
+            p.add_argument("--point", type=str, required=True, help=k_range
+                           + " comma-separated axis indices, e.g. 1,1,2")
+        else:
+            p.add_argument("--k", type=int, required=True, help=k_range)
         common(p)
-        p.set_defaults(func=cmd_class)
 
-    p = sub.add_parser("conf-proj", help="projective class at a fixed point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point", type=str, required=True,
-                   help="comma-separated axis indices, e.g. 1,1,2")
-    common(p)
-    p.set_defaults(func=cmd_conf_proj)
-
-    p = sub.add_parser("check", help="run a verification suite")
+    ranges = "".join("\n  %-13s " % name + "; ".join(
+        "--%s %s" % (key, default)
+        + ("" if lo is None else " (%d..%d)" % (lo, hi))
+        for key, (default, lo, hi) in params.items())
+        for name, (params, _) in CHECKS.items())
+    p = sub.add_parser("check", help="run a verification suite",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="parameters of each check, default (range):%s\n"
+                       "recursion also takes n^k <= %d." % (ranges,
+                                                            RECURSION_CAP))
     p.add_argument("--name", choices=tuple(CHECKS), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--alphas", type=str,
-                   help="comma-separated rationals, e.g. 2,1/2 or -2,3")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int,
-                   help="random cases of limits-props, 1..%d" % COUNT_CAP)
+    for key in CHECK_PARAMS:
+        if key == "alphas":
+            p.add_argument("--alphas",
+                           help="comma-separated rationals, e.g. 2,1/2 or -2,3")
+        else:
+            p.add_argument("--" + key, type=int)
     common(p)
-    p.set_defaults(func=cmd_check)
 
     return parser
+
+
+def _admit(args):
+    """Fill in the defaults of a check, then refuse a parameter that the
+    check does not read and any size outside its range, before anything is
+    built or run.  Raises ValueError with the usage error."""
+    if args.command == "check":
+        command, params = "check " + args.name, CHECKS[args.name][0]
+        for key in CHECK_PARAMS:
+            if getattr(args, key) is None:
+                setattr(args, key, params[key][0] if key in params else None)
+            elif key not in params:
+                raise ValueError("%s does not take --%s" % (command, key))
+        sizes = [("--" + key, getattr(args, key), lo, hi)
+                 for key, (_, lo, hi) in params.items() if lo is not None]
+    else:
+        command = args.command
+        if command == "conf-proj":
+            args.k = ProjFixedPoint(
+                tuple(_parse_list("--point", args.point, int)))
+            k = ("--point length", args.k.k)
+        else:
+            k = ("--k", args.k)
+        sizes = [("--n", args.n) + CLASS_RANGES["n"], k + CLASS_RANGES["k"]]
+    for option, value, lo, hi in sizes:
+        if not lo <= value <= hi:
+            raise ValueError("%s takes %s in %d..%d, got %d"
+                             % (command, option, lo, hi, value))
 
 
 def main(argv=None) -> int:
@@ -179,17 +208,9 @@ def main(argv=None) -> int:
         if argv[i] == "--alphas" and not argv[i + 1].startswith("--"):
             argv[i:i + 2] = ["--alphas=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        defaults = CHECKS[args.name][0]
-        for key in CHECK_PARAMS:
-            if getattr(args, key) is None:
-                setattr(args, key, defaults.get(key))
-            elif key not in defaults:
-                print("error: check %s does not take --%s" % (args.name, key),
-                      file=sys.stderr)
-                return 2
     try:
-        return args.func(args)
+        _admit(args)
+        return (cmd_check if args.command == "check" else cmd_class)(args)
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -93,8 +93,9 @@ def check_bb_stability(n: int, k: int) -> bool:
     `inverse_to_zero` limit in a_n) in the n-weight projective
     configuration class must reproduce the (n-1)-weight class, at every
     fixed point avoiding the last axis."""
-    if not 2 <= n <= 4 or not 1 <= k <= 3:
-        raise ValueError("capped at 2 <= n <= 4, 1 <= k <= 3")
+    # below n = 2 or k = 1 there is no fixed point to compare
+    if n < 2 or k < 1:
+        raise ValueError("needs n >= 2 and k >= 1, got n=%d, k=%d" % (n, k))
     t_full = TorusData.standard(n)
     t_small = TorusData(t_full.universe, t_full.alpha[:-1])
     spec = LimitSpec(t_full.alpha[-1], "inverse_to_zero")
@@ -111,8 +112,6 @@ def check_bb_stability(n: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _PROP_UNIVERSE = VarUniverse(("a1", "y", "s"))
-# most random cases one run of the property suite may ask for
-COUNT_CAP = 10000
 
 
 def _random_poly(rng, require_s0: bool = False) -> LaurentPoly:
@@ -145,8 +144,8 @@ def run_limit_property_suite(seed: int = 0, count: int = 200):
     limit map on random admissible inputs.  Returns (failures, count)."""
     import random
 
-    if not 1 <= count <= COUNT_CAP:
-        raise ValueError("count must be in 1..%d, got %d" % (COUNT_CAP, count))
+    if count < 1:
+        raise ValueError("count must be at least 1, got %d" % count)
     rng = random.Random(seed)
     spec = LimitSpec("s", "to_zero")
     failures = 0

@@ -109,7 +109,10 @@ def coefficient_a_graph_oracle(p: SetPartition) -> Fraction:
     k = p.k
     if k > GRAPH_ORACLE_CAP:
         raise ValueError("graph oracle capped at k <= %d" % GRAPH_ORACLE_CAP)
-    all_edges = list(combinations(range(1, k + 1), 2))
+    # a graph with an edge between two blocks of p joins them into one
+    # component, so only graphs on the pairs inside the blocks can count;
+    # the component test still drops those that leave a block split
+    all_edges = [e for b in p.blocks for e in combinations(b, 2)]
     total = 0
     for r in range(len(all_edges) + 1):
         for edges in combinations(all_edges, r):

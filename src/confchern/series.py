@@ -13,10 +13,6 @@ from .partitions import SetPartition, partition_sum
 from .classes import (TorusData, euler_point, lambda_y_proj, mc_orbit_conf,
                       mc_orbit_full)
 
-# largest order the partition-sum series checks accept: their left sides
-# enumerate the Bell(N) set partitions of [N]
-ORDER_CAP = 7
-
 
 class TruncSeries:
     """Power series in t truncated (inclusively) at a fixed order."""
@@ -144,7 +140,10 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 def _egf(universe: VarUniverse, n_order: int, coeff) -> TruncSeries:
-    """The exponential generating series 1 + sum_k coeff(k) t^k/k!."""
+    """The exponential generating series 1 + sum_k coeff(k) t^k/k!, for an
+    order of at least 1: at order 0 every series identity reads 1 = 1."""
+    if n_order < 1:
+        raise ValueError("order must be at least 1, got %d" % n_order)
     return TruncSeries(universe, n_order, [RatFunc.const(universe, 1)] + [
         Fraction(1, math.factorial(k)) * coeff(k)
         for k in range(1, n_order + 1)])
@@ -168,12 +167,6 @@ def _block_size_identity(universe: VarUniverse, n_order: int, x) -> bool:
     return lhs == TruncSeries(universe, n_order, arg).exp()
 
 
-def _check_order(n_order: int):
-    if not 1 <= n_order <= ORDER_CAP:
-        raise ValueError("order capped at %d and at least 1, got %d"
-                         % (ORDER_CAP, n_order))
-
-
 def check_partition_exp_identity(n_order: int) -> bool:
     """Master identity: the partition sum with one free symbol per block
     size equals exp of the alternating-harmonic combination.
@@ -183,7 +176,6 @@ def check_partition_exp_identity(n_order: int) -> bool:
     against exp(sum_u (-1)^(u-1) x_u t^u / u), coefficient-wise.
     Truth here is a polynomial identity in x_1..x_N.
     """
-    _check_order(n_order)
     universe = VarUniverse(tuple("x%d" % u for u in range(1, n_order + 1)))
     return _block_size_identity(
         universe, n_order, lambda u: RatFunc.var(universe, "x%d" % u))
@@ -193,7 +185,6 @@ def check_point_series(n_order: int) -> bool:
     """Point-restriction series with one free symbol for the localized
     subvariety class: 1 + sum_k (t^k/k!) sum_P a(P) m^|P| against
     exp(m * log(1+t))."""
-    _check_order(n_order)
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     lhs = _partition_series(universe, n_order, lambda b: m)
@@ -205,7 +196,6 @@ def check_point_series(n_order: int) -> bool:
 def check_point_series_ambient(n_order: int) -> bool:
     """Two-symbol diagonal form: 1 + sum_k (t^k/k!) sum_P a(P) m^|P|
     e^(k-|P|) against exp(m * log(1 + t e)/e)."""
-    _check_order(n_order)
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     e = RatFunc.var(universe, "e")
@@ -239,13 +229,7 @@ def orbit_series_sides(n: int, n_order: int):
     return lhs, rhs
 
 
-def _check_orbit_size(n: int, n_order: int):
-    if n > 3 or not 1 <= n_order <= 4:
-        raise ValueError("orbit series check capped at n <= 3, 1 <= N <= 4")
-
-
 def check_orbit_series(n: int, n_order: int) -> bool:
-    _check_orbit_size(n, n_order)
     lhs, rhs = orbit_series_sides(n, n_order)
     return lhs == rhs
 
@@ -268,7 +252,6 @@ def check_orbit_full_series(n: int, n_order: int) -> bool:
     n=1: the k=1 coefficient of the full space is m_1 + 1, which only the
     (1+t)*f form reproduces.)
     """
-    _check_orbit_size(n, n_order)
     lhs = orbit_full_series(n, n_order)
     f = orbit_series(n, n_order)
     one_plus_t = TruncSeries.const(f.universe, n_order, 1) \
@@ -345,8 +328,8 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
     (c) minus the sum of residues at the alpha_i equals the exponent of the
         orbit generating series with the weights specialized numerically.
     """
-    if not 1 <= n_order <= 3:
-        raise ValueError("residue check capped at 1 <= N <= 3")
+    if n_order < 1:
+        raise ValueError("order must be at least 1, got %d" % n_order)
     alphas = [Fraction(a) for a in alphas]
     if len(set(alphas)) != len(alphas) or any(a in (0, 1) for a in alphas):
         raise ValueError("alphas must be distinct and differ from 0 and 1")

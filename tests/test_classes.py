@@ -1,9 +1,11 @@
 """Tests for the localized class formulas."""
 
+import json
 from itertools import permutations, product
 
 import pytest
 
+from confchern import cli
 from confchern.classes import (LocalClassData, ProjFixedPoint, TorusData,
                                euler_point, euler_point_beta, lambda_y_proj,
                                mc_conf_affine, mc_conf_generic,
@@ -246,12 +248,10 @@ def test_recursion_matches_direct(n):
 
 
 def test_caps():
+    # the library refuses only sizes outside its domain; the CLI holds the
+    # upper bounds on cost (tests/test_cli.py).  k = 0 is rejected, not
+    # read as the empty product
     t = TorusData.standard(1)
-    with pytest.raises(ValueError):
-        mc_conf_affine(t, 8)
-    with pytest.raises(ValueError):
-        TorusData.standard(7)
-    # k = 0 is rejected, not read as the empty product
     with pytest.raises(ValueError):
         mc_conf_affine(t, 0)
     with pytest.raises(ValueError):
@@ -262,3 +262,94 @@ def test_caps():
         mc_conf_proj_at(t, ProjFixedPoint(()))
     with pytest.raises(ValueError):
         TorusData.standard(0)
+
+
+# ---------------------------------------------------------------------------
+# The printed classes against their definitions, built in sympy
+# ---------------------------------------------------------------------------
+
+def _sympy_partition_sum(sp, k, weight, inside=lambda block: True):
+    """sum over the set partitions P of [k] whose blocks all satisfy
+    `inside` of a(P) prod_{B in P} weight(B), a(P) = prod (-1)^(|B|-1)
+    (|B|-1)!, with sympy's own enumeration of set partitions."""
+    from sympy.utilities.iterables import multiset_partitions
+    total = 0
+    for p in multiset_partitions(list(range(1, k + 1))):
+        if all(inside(b) for b in p):
+            total += sp.Mul(*[(-1) ** (len(b) - 1) * sp.factorial(len(b) - 1)
+                              * weight(b) for b in p])
+    return total
+
+
+def _sympy_lambdas(sp, a, y, i):
+    """lambda_y and lambda_{-1} of the cotangent space of projective space
+    at the i-th (0-based) fixed point."""
+    others = [x for j, x in enumerate(a) if j != i]
+    return (sp.Mul(*[1 + y * a[i] / x for x in others]),
+            sp.Mul(*[1 - a[i] / x for x in others]))
+
+
+def _sympy_affine(sp, a, y, k):
+    mcB = sp.Mul(*[1 + y / x for x in a])
+    euTM = sp.Mul(*[1 - 1 / x for x in a])
+    return _sympy_partition_sum(sp, k, lambda b: mcB * euTM ** (len(b) - 1))
+
+
+def _sympy_proj(sp, a, y, iota):
+    def weight(block):
+        lam_y, lam_m1 = _sympy_lambdas(sp, a, y, iota[block[0] - 1] - 1)
+        return lam_y * lam_m1 ** (len(block) - 1)
+
+    # the refinements of the coincidence partition of iota
+    return _sympy_partition_sum(sp, len(iota), weight, lambda block: len(
+        {iota[i - 1] for i in block}) == 1)
+
+
+def _sympy_orbit(sp, a, y, k):
+    b = sp.symbols("b1:%d" % (k + 1))
+
+    def psi(i, j, theta):
+        return (1 + y) / theta if i == j else 1 - 1 / theta
+
+    def weight(block):
+        total = 0
+        for i in range(len(a)):
+            lam_y, lam_m1 = _sympy_lambdas(sp, a, y, i)
+            total += lam_y / lam_m1 * sp.Mul(*[
+                psi(i, j, b[c - 1] * x) for c in block
+                for j, x in enumerate(a)])
+        return total
+
+    return _sympy_partition_sum(sp, k, weight)
+
+
+SYMPY_DEFINITIONS = {"conf-affine": _sympy_affine, "conf-proj": _sympy_proj,
+                     "orbit": _sympy_orbit}
+
+
+@pytest.mark.parametrize("command,n,size", [
+    ("conf-affine", 1, 3), ("conf-affine", 2, 3), ("conf-affine", 3, 2),
+    ("conf-proj", 2, "1,1,2"), ("conf-proj", 3, "1,2,1"),
+    ("orbit", 1, 3), ("orbit", 2, 2), ("orbit", 3, 1),
+], ids=str)
+def test_printed_class_matches_sympy_definition(command, n, size, capsys):
+    # independent of laurent.py and of the package's partition code: the
+    # JSON that the CLI prints, read into sympy, against the partition sum
+    # that defines the class
+    sp = pytest.importorskip("sympy")
+    if command == "conf-proj":
+        argv = [command, "--n", str(n), "--point", size]
+        size = tuple(int(i) for i in size.split(","))
+    else:
+        argv = [command, "--n", str(n), "--k", str(size)]
+    assert cli.main(argv + ["--output", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    names = {name: sp.Symbol(name) for name in blob["universe"]}
+
+    def poly(terms):
+        return sum(sp.Rational(t["coeff"]) * sp.Mul(*[
+            names[v] ** e for v, e in t["exps"].items()]) for t in terms)
+
+    a = sp.symbols("a1:%d" % (n + 1))
+    want = sp.cancel(SYMPY_DEFINITIONS[command](sp, a, sp.Symbol("y"), size))
+    assert sp.cancel(want - poly(blob["num"]) / poly(blob["den"])) == 0

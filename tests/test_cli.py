@@ -1,6 +1,7 @@
 """Tests for the command-line driver: output formats, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -81,7 +82,104 @@ def test_check_a_oracle_cap_precedes_enumeration(capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_partitions", refuse)
     code, out, err = run(["check", "--name", "a-oracle", "--k", "7"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: graph oracle capped at k <= 6\n"
+    assert err == "error: check a-oracle takes --k in 1..6, got 7\n"
+
+
+# Every size range of the CLI: command, option, lowest, highest.  Written
+# out here, not read from the CLI's table, so that a changed range fails.
+RANGES = [
+    ("conf-affine", "n", 1, 6), ("conf-affine", "k", 1, 7),
+    ("orbit", "n", 1, 6), ("orbit", "k", 1, 7),
+    ("orbit-full", "n", 1, 6), ("orbit-full", "k", 1, 7),
+    ("conf-proj", "n", 1, 6), ("conf-proj", "point", 1, 7),
+    ("a-oracle", "k", 1, 6),
+    ("szeregi", "N", 1, 7), ("s1", "N", 1, 7), ("s3-point", "N", 1, 7),
+    ("s2", "n", 1, 3), ("s2", "N", 1, 4),
+    ("residue", "N", 1, 3),
+    ("bb-stability", "n", 2, 4), ("bb-stability", "k", 1, 3),
+    ("recursion", "n", 1, 6), ("recursion", "k", 1, 7),
+    ("limits-props", "count", 1, 10000),
+]
+
+
+class Reached(Exception):
+    """Raised by a stub builder or runner: the CLI began to compute."""
+
+
+def _argv(command, option, value):
+    """argv of `command` with `option` at `value` and every other size
+    option at its lowest; the --point of a length is 1,1,...,1."""
+    sizes = {opt: lo for cmd, opt, lo, _ in RANGES if cmd == command}
+    sizes[option] = value
+    argv = ["check", "--name", command] if command in cli.CHECKS \
+        else [command]
+    for opt, v in sizes.items():
+        argv += ["--" + opt, ",".join(["1"] * v) if opt == "point" else str(v)]
+    return argv
+
+
+@pytest.mark.parametrize("command,option,lo,hi", RANGES,
+                         ids=["%s-%s" % r[:2] for r in RANGES])
+def test_range_edges(command, option, lo, hi, capsys, monkeypatch):
+    # each edge value reaches a stub in place of the builder or runner, and
+    # one past each edge is refused before the stub is called
+    def stub(*args):
+        raise Reached(*args)
+
+    for name, (text, _) in cli.CLASSES.items():
+        monkeypatch.setitem(cli.CLASSES, name, (text, stub))
+    for name, (params, _) in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, (params, stub))
+    for value in (lo, hi):
+        with pytest.raises(Reached) as exc:
+            cli.main(_argv(command, option, value))
+        if command in cli.CHECKS:
+            got = getattr(exc.value.args[0], option)
+        else:
+            n, k = exc.value.args
+            got = n if option == "n" else k.k if option == "point" else k
+        assert got == value
+    where = "check " + command if command in cli.CHECKS else command
+    label = "point length" if option == "point" else option
+    # an empty --point is malformed, not a length out of range
+    for value in (lo - 1, hi + 1) if option != "point" else (hi + 1,):
+        code, out, err = run(_argv(command, option, value), capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: %s takes --%s in %d..%d, got %d\n" \
+            % (where, label, lo, hi, value)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["check", "--name", "a-oracle", "--k", "0"],
+     "error: check a-oracle takes --k in 1..6, got 0\n"),
+    (["check", "--name", "s2", "--n", "0"],
+     "error: check s2 takes --n in 1..3, got 0\n"),
+    (["check", "--name", "bb-stability", "--n", "1"],
+     "error: check bb-stability takes --n in 2..4, got 1\n"),
+    (["check", "--name", "recursion", "--n", "2", "--k", "8"],
+     "error: check recursion takes --k in 1..7, got 8\n"),
+    (["check", "--name", "recursion", "--n", "5", "--k", "4"],
+     "error: check recursion takes n^k <= 256, got 5^4\n"),
+], ids=["a-oracle-k", "s2-n", "bb-stability-n", "recursion-k",
+        "recursion-n-to-the-k"])
+def test_range_error_names_the_range(argv, err, capsys):
+    assert run(argv, capsys) == (2, "", err)
+
+
+def test_help_states_every_range(capsys):
+    def help_text(argv):
+        with pytest.raises(SystemExit):
+            cli.main(argv + ["--help"])
+        return capsys.readouterr().out
+
+    rows = help_text(["check"]).splitlines()
+    for command, option, lo, hi in RANGES:
+        if command in cli.CHECKS:
+            row = next(r for r in rows if r.split()[:1] == [command])
+            assert re.search(r"--%s \S+ \(%d\.\.%d\)" % (option, lo, hi), row)
+        else:
+            text = " ".join(help_text([command]).split())
+            assert "--%s %s %d..%d" % (option, option.upper(), lo, hi) in text
 
 
 def test_check_recursion_rejects_broken_product(capsys, monkeypatch):

@@ -3,8 +3,9 @@ sha256 of stdout for each command.
 
 The list covers every class subcommand at small n and k (every `conf-proj`
 fixed point with n <= 3 and k <= 3), text and json output, the cheap
-checks and a few usage errors.  A change that alters any printed byte
-fails here.  To print the table for the current code, run
+checks, `a-oracle` at its largest k, a few usage errors and one past each
+edge of every size range.  A change that alters any printed byte or exit
+code fails here.  To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -190,6 +191,44 @@ GOLDEN = """\
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-proj --n 2 --point 0,1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 9 --N 2
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name szeregi --N 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-affine --n 0 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 0 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 7 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 1 --k 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 1 --k 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 0 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 7 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 1 --k 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 1 --k 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-proj --n 0 --point 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-proj --n 7 --point 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-proj --n 1 --point 1,1,1,1,1,1,1,1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name a-oracle --k 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name a-oracle --k 7
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name szeregi --N 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s1 --N 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s1 --N 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s3-point --N 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s3-point --N 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 0 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 4 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 1 --N 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 1 --N 5
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 4
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 1 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 5 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 2 --k 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 2 --k 4
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name recursion --n 0 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name recursion --n 7 --k 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name recursion --n 1 --k 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name recursion --n 1 --k 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name recursion --n 2 --k 8
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name recursion --n 5 --k 4
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name limits-props --count 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name limits-props --count 10001
+0 cb73a14c4cfa47cdddff12fc828d2681bef67ef0b4277be02213d43af89d2dd2 check --name a-oracle --k 6
 """
 
 

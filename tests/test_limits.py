@@ -146,10 +146,10 @@ def test_bb_stability_needs_the_limit(monkeypatch):
 
 
 def test_bb_stability_caps():
+    # the lower bounds, below which no fixed point is compared; the CLI
+    # holds n <= 4, k <= 3
     with pytest.raises(ValueError):
-        check_bb_stability(5, 1)
-    with pytest.raises(ValueError):
-        check_bb_stability(2, 4)
+        check_bb_stability(1, 1)
     with pytest.raises(ValueError):
         check_bb_stability(2, 0)
 

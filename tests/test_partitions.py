@@ -93,7 +93,7 @@ def test_graph_oracle_examples():
     assert coefficient_a_graph_oracle(parse_set_partition(3, "1,2,3")) == 2
 
 
-@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_coefficient_matches_graph_oracle_exhaustive(k):
     for p in enumerate_partitions(k):
         assert coefficient_a(p) == coefficient_a_graph_oracle(p)

@@ -112,8 +112,9 @@ def test_point_series_small(n_order):
                                    check_point_series,
                                    check_point_series_ambient])
 def test_partition_series_order_cap(check):
-    with pytest.raises(ValueError, match="order capped at 7"):
-        check(8)
+    # order 0 would compare 1 with 1; the upper bound is the CLI's
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        check(0)
 
 
 def test_point_series_t2_coefficient():
@@ -142,14 +143,17 @@ def test_orbit_series_small(n, N):
 
 
 def test_orbit_series_caps():
-    with pytest.raises(ValueError):
-        check_orbit_series(4, 2)
+    # the library keeps only the lower bounds; the CLI holds n <= 3, N <= 4
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        check_orbit_series(2, 0)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        check_orbit_series(0, 2)
 
 
-@pytest.mark.parametrize("n,N", [(4, 2), (2, 0), (2, 5)])
+@pytest.mark.parametrize("n,N", [(0, 2), (2, 0)])
 def test_orbit_full_series_caps(n, N):
-    # the same cap as check_orbit_series
-    with pytest.raises(ValueError, match="capped at n <= 3, 1 <= N <= 4"):
+    # the same lower bounds as check_orbit_series
+    with pytest.raises(ValueError, match="must be at least 1"):
         check_orbit_full_series(n, N)
 
 
@@ -315,4 +319,4 @@ def test_residue_form_rejects_bad_alphas():
     with pytest.raises(ValueError):
         check_residue_form([Fraction(2), Fraction(2)], 1)
     with pytest.raises(ValueError):
-        check_residue_form([Fraction(2)], 5)
+        check_residue_form([Fraction(2)], 0)
