@@ -595,13 +595,19 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     times 1 + max |w_j| beyond EXP_LIMIT), a carry could merge distinct
     terms into a false zero, so the pass is skipped and long division
     decides.  (A carry cannot turn a hit into a miss: merged sums of zero
-    sums are zero.)  Every other case, and every binomial that passes,
-    goes on to long division.
+    sums are zero.)
+
+    p's integer numerators are divided over Z by the primitive part of f:
+    by Gauss's lemma that division is exact whenever the one over Q is.
+    Lex order is a monomial order, so p's lex-highest and lex-lowest terms
+    are those of the primitive part times those of the integer quotient.
+    An end coefficient of p that the matching one of the primitive part
+    does not divide is therefore a miss, refuted from four dict entries
+    before any exponent is unpacked.  Every other case goes on to long
+    division.
 
     Monomial factors always divide in the Laurent ring, so divisibility is
-    tested after shifting both operands to nonnegative exponents.  p's
-    integer numerators are divided over Z by the primitive part of f: by
-    Gauss's lemma that division is exact whenever the one over Q is, so a
+    tested after shifting both operands to nonnegative exponents.  A
     leading coefficient that leaves a remainder is a miss.  The remainder
     lives in one dict that each step updates in place: the lex-leading
     term is cancelled against f's leading term, and only the terms that
@@ -615,22 +621,27 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     """
     if p.is_zero():
         return p
-    if len(f._coeffs) == 2 and _binomial_misses(p, f):
+    pc, fc = p._coeffs, f._coeffs
+    if len(fc) == 2 and _binomial_misses(p, f):
+        return None
+    # f = (content / f._denom) * primitive part
+    content = math.gcd(*fc.values())
+    if (pc[max(pc)] % (fc[max(fc)] // content)
+            or pc[min(pc)] % (fc[min(fc)] // content)):
         return None
     u = p.universe
-    p_low, p_high = u._box(p._coeffs)
-    f_low, f_high = u._box(f._coeffs)
+    p_low, p_high = u._box(pc)
+    f_low, f_high = u._box(fc)
     room = [ph - pl - fh + fl
             for pl, ph, fl, fh in zip(p_low, p_high, f_low, f_high)]
     if room and min(room) < 0:
         return None
     p_off, f_off = u._key(p_low), u._key(f_low)
-    rem = {k - p_off: c for k, c in p._coeffs.items()}
+    rem = {k - p_off: c for k, c in pc.items()}
     heap = [-k for k in rem]
     heapq.heapify(heap)
-    # f = (content / f._denom) * primitive part, with a positive lead
-    content = math.gcd(*f._coeffs.values())
-    f0 = {k - f_off: c // content for k, c in f._coeffs.items()}
+    # the primitive part, with a positive lead
+    f0 = {k - f_off: c // content for k, c in fc.items()}
     lead = max(f0)
     lead_c = f0.pop(lead)
     if lead_c < 0:
@@ -854,6 +865,11 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, RatFunc) and isinstance(other, (int, Fraction)):
+            # through the scalar product, with no constant to invert
+            if not other:
+                raise ZeroDenominatorError("division by zero rational function")
+            return self * Fraction(1, other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -63,18 +63,25 @@ class WeightedBundleSummand:
 
 def lambda_quotient(summands: Sequence[WeightedBundleSummand]) -> RatFunc:
     """The lambda_y / lambda_{-1} quotient of the dual bundle described by
-    the summands, with the distinguished character named s."""
+    the summands, with the distinguished character named s.
+
+    With base = P/Q and w = P s^omega, a summand contributes
+    (1 + y w/Q) / (1 - w/Q) = (y w + Q) / (Q - w).  Both products are
+    expanded as polynomials and divided once, with no inverse and no
+    trial division.  For monomial bases the quotient is in lowest terms:
+    at y = 0 the numerator is a monomial, which no factor carrying s
+    divides."""
     if not summands:
         raise ValueError("need at least one summand")
     universe = summands[0].base.universe
-    y = RatFunc.var(universe, "y")
-    num = RatFunc.const(universe, 1)
-    den = RatFunc.const(universe, 1)
+    y = LaurentPoly.var(universe, "y")
+    num = den = LaurentPoly.const(universe, 1)
     for sm in summands:
-        w = sm.base * RatFunc.var(universe, "s", sm.omega)
-        num = num * (1 + y * w) ** sm.multiplicity
-        den = den * (1 - w) ** sm.multiplicity
-    return num / den
+        q = sm.base.den
+        w = sm.base.num * LaurentPoly.var(universe, "s", sm.omega)
+        num = num * (y * w + q) ** sm.multiplicity
+        den = den * (q - w) ** sm.multiplicity
+    return RatFunc(num, den)
 
 
 def limit_lambda_quotient(summands: Sequence[WeightedBundleSummand]) -> RatFunc:

@@ -79,6 +79,12 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            # a nonzero scalar scales each coefficient and is never lifted
+            # to a constant series; zero takes the general path, whose
+            # coefficients are fresh zeros
+            return TruncSeries(self.universe, self.order,
+                               [a * other for a in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List
 
-from confchern.laurent import LaurentPoly, VarUniverse
+from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition
 
 ORDERED_CAP = 9
@@ -152,6 +152,21 @@ class DictPoly:
                    - step.shift([-x for x in f_low])).terms
         return DictPoly(self.universe, quot).shift(
             [a - b for a, b in zip(p_low, f_low)])
+
+
+def lambda_quotient_fold(summands) -> RatFunc:
+    """The lambda_y / lambda_{-1} quotient of `limits.lambda_quotient` by
+    its definition: a RatFunc product of (1 + y w) / (1 - w) with
+    w = base * s^omega, each factor inverted and trial-divided."""
+    universe = summands[0].base.universe
+    y = RatFunc.var(universe, "y")
+    num = RatFunc.const(universe, 1)
+    den = RatFunc.const(universe, 1)
+    for sm in summands:
+        w = sm.base * RatFunc.var(universe, "s", sm.omega)
+        num = num * (1 + y * w) ** sm.multiplicity
+        den = den * (1 - w) ** sm.multiplicity
+    return num / den
 
 
 class OrderedPartition:

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact arithmetic core."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -183,12 +184,17 @@ def test_first_power_runs_no_product(monkeypatch):
 _UNREDUCED_NUM = (lp("y") + 1) * (lp("a1") - 1)
 
 
-@pytest.mark.parametrize("f", [
+_scaled_ratfuncs = pytest.mark.parametrize("f", [
     RatFunc(lp("y") + 1, lp("a1") - 1) * RatFunc(lp("a2"), lp("a2") + 2),
     RatFunc(_UNREDUCED_NUM, lp("a1") - 1),
     RatFunc(_UNREDUCED_NUM * lp("a2", -1),
             (lp("a2") * lp("y") + 1) * (lp("a1") - 1)),
-], ids=["reduced", "unreduced-polynomial", "unreduced-with-factor"])
+    RatFunc(lp("a2", -2) * 3),
+], ids=["reduced", "unreduced-polynomial", "unreduced-with-factor",
+        "monomial"])
+
+
+@_scaled_ratfuncs
 @pytest.mark.parametrize("c", [0, 1, 3, -2, Fraction(-5, 2)])
 def test_scalar_product_storage_is_the_constant_product(f, c):
     want = f * RatFunc.const(U, c)
@@ -197,6 +203,26 @@ def test_scalar_product_storage_is_the_constant_product(f, c):
         assert list(got.num._coeffs) == list(want.num._coeffs)
         assert got.num._denom == want.num._denom
         assert got._factors == want._factors
+
+
+@_scaled_ratfuncs
+@pytest.mark.parametrize("c", [1, 3, -2, Fraction(-5, 2), Fraction(2, 7)])
+def test_scalar_quotient_storage_is_the_inverse_product(f, c, monkeypatch):
+    want = _storage(f * RatFunc.const(U, c).inverse())
+    inverses = []
+    real = RatFunc.inverse
+    monkeypatch.setattr(RatFunc, "inverse",
+                        lambda self: inverses.append(self) or real(self))
+    assert _storage(f / c) == want
+    assert inverses == []
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_scalar_quotient_by_zero_raises(zero):
+    with pytest.raises(ZeroDenominatorError):
+        rf("a1") / zero
+    with pytest.raises(ZeroDenominatorError):
+        RatFunc.const(U, 0) / zero
 
 
 # -- substitution ------------------------------------------------------------
@@ -599,6 +625,58 @@ def binomial_divisors(draw):
 @given(polys(), binomial_divisors(), nonzero_polys, st.booleans())
 def test_exact_div_by_binomial_matches_oracle(p, f, q, multiple):
     _assert_exact_div_matches_oracle(q * f if multiple else p, f)
+
+
+_non_unit = st.sampled_from((-6, -4, -3, -2, 2, 3, 4, 6))
+
+
+@st.composite
+def end_heavy_divisors(draw):
+    """Divisors of 3 or 4 terms whose primitive part has no unit at its
+    lex-highest or its lex-lowest term, times a rational."""
+    n = draw(st.integers(min_value=3, max_value=4))
+    exps = sorted(draw(st.lists(st.tuples(_exp, _exp, _exp), min_size=n,
+                                max_size=n, unique=True)))
+    inner = st.integers(min_value=-3, max_value=3).filter(bool)
+    coeffs = ([draw(_non_unit)] + [draw(inner) for _ in range(n - 2)]
+              + [draw(_non_unit)])
+    content = math.gcd(*coeffs)
+    assume(abs(coeffs[0]) != content and abs(coeffs[-1]) != content)
+    scale = draw(_coeff.filter(bool))
+    return LaurentPoly(U, dict(zip(exps, coeffs))) * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(end_heavy_divisors(), nonzero_polys, _coeff.filter(bool),
+       st.sampled_from(("highest", "lowest", "anywhere")),
+       st.tuples(_exp, _exp, _exp))
+def test_end_coefficient_refutation_matches_oracle(f, q, c, where, e):
+    # multiples must hit; a near-multiple moved at an end term is refuted
+    # by its end coefficients when they no longer divide
+    p = q * f
+    assert _exact_div(p, f) == q
+    _assert_exact_div_matches_oracle(p, f)
+    ends = sorted(p.terms)
+    e = {"highest": ends[-1], "lowest": ends[0]}.get(where, e)
+    _assert_exact_div_matches_oracle(p + LaurentPoly(U, {e: c}), f)
+
+
+def test_end_coefficient_refutation_boxes_nothing(monkeypatch):
+    # ends 2 a1^2 and 3 y^2; q * f has ends 2 a1^3 and 3 y^2
+    f = 2 * lp("a1", 2) + lp("a1") * lp("y") + 3 * lp("y", 2)
+    q = lp("a1") - lp("a2") + 1
+    boxes = []
+    real = VarUniverse._box
+    monkeypatch.setattr(VarUniverse, "_box",
+                        lambda self, keys: boxes.append(keys) or real(self, keys))
+    for near in (q * f + lp("a1", 3), q * f + lp("y", 2),
+                 q * f * Fraction(1, 5) - lp("y", 2)):
+        assert _exact_div(near, f) is None
+    assert boxes == []
+    # ends that divide go on to long division
+    assert _exact_div(q * f + 2 * lp("a1", 3), f) is None
+    assert boxes
+    assert _exact_div(q * f * 7, f * Fraction(2, 3)) == q * Fraction(21, 2)
 
 
 @pytest.mark.parametrize("f", [

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confchern import limits
+from confchern import laurent, limits
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.limits import (LimitSpec, LimitUndefinedError,
                               WeightedBundleSummand, check_bb_stability,
                               lambda_quotient, lambda_quotient_sweep,
                               limit_lambda_quotient, limit_map,
                               random_admissible, run_limit_property_suite)
+from oracles import lambda_quotient_fold
 
 U = VarUniverse(("a1", "a2", "y", "s"))
 SPEC = LimitSpec("s", "to_zero")
@@ -125,6 +126,46 @@ def test_lambda_quotient_mixed():
 def test_lambda_quotient_sweep_short_lists():
     for _, lim, want in lambda_quotient_sweep(max_len=2):
         assert lim == want
+
+
+def _storage(f):
+    """Everything a RatFunc holds, in order: keys, denominators, bounds
+    and the factor order."""
+    def poly(p):
+        return list(p._coeffs.items()), p._denom, p._bound
+    return poly(f.num), [(poly(g), power) for g, power in f._factors.items()]
+
+
+def test_lambda_quotient_matches_the_fold():
+    for summands, _, _ in lambda_quotient_sweep(max_len=3):
+        got, want = lambda_quotient(summands), lambda_quotient_fold(summands)
+        assert got == want
+        assert _storage(got) == _storage(want)
+
+
+def test_lambda_quotient_of_non_monomial_bases():
+    # bases with denominator factors: only the values need to agree
+    bases = [(v("a1") + 2 * v("a2")) / (1 - v("a1") * v("a2")),
+             v("a2") * v("y") / (v("a1") + 3) ** 2]
+    for omegas in ((2, -1), (-1, 1), (1, 1)):
+        summands = [WeightedBundleSummand(w, b, m)
+                    for w, b, m in zip(omegas, bases, (1, 2))]
+        assert lambda_quotient(summands) == lambda_quotient_fold(summands)
+
+
+def test_lambda_quotient_runs_no_trial_division(monkeypatch):
+    summands = [WeightedBundleSummand(2, v("a1"), 1),
+                WeightedBundleSummand(-1, v("a2", -1), 2),
+                WeightedBundleSummand(1, 3 * v("a1") * v("a2"), 1)]
+    real = laurent._exact_div
+    divisors = []
+    monkeypatch.setattr(laurent, "_exact_div",
+                        lambda p, f: divisors.append(f) or real(p, f))
+    lambda_quotient(summands)
+    assert divisors == []
+    # the counter sees the trial divisions of the fold
+    lambda_quotient_fold(summands)
+    assert divisors
 
 
 def test_property_suite_sample():

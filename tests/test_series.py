@@ -68,6 +68,32 @@ def test_order_mismatch():
         TruncSeries.t(U, 2) + TruncSeries.t(U, 3)
 
 
+def _poly_storage(p):
+    return list(p._coeffs.items()), p._denom
+
+
+@pytest.mark.parametrize("c", [0, 1, 3, -2, Fraction(-5, 2)])
+def test_scalar_product_storage_is_the_constant_series_product(c):
+    cv, y = LaurentPoly.var(U, "c"), LaurentPoly.var(U, "y")
+    s = TruncSeries(U, 3, [
+        RatFunc(LaurentPoly.const(U, 1), 1 - cv ** 3),
+        RatFunc((cv - 1) * (y + 1), (cv - 1) * (cv + 2)),
+        c_rf(0),
+        RatFunc(cv * y - 2)])
+    want = s * TruncSeries.const(U, 3, c)
+    for got in (s * c, c * s):
+        for a, b in zip(got.coeffs, want.coeffs):
+            assert _poly_storage(a.num) == _poly_storage(b.num)
+            assert [(_poly_storage(f), f._bound, k)
+                    for f, k in a._factors.items()] \
+                == [(_poly_storage(f), f._bound, k)
+                    for f, k in b._factors.items()]
+            # the product by a constant series adds each term to a zero
+            # coefficient, and that sum's bound also covers the factor
+            # powers; a direct scale keeps the numerator's own bound
+            assert a.num._bound <= b.num._bound
+
+
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
