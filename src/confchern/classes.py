@@ -38,9 +38,7 @@ class TorusData:
         if n < 1:
             raise ValueError("n must be at least 1, got %d" % n)
         u = standard_universe(n, k)
-        return cls(u,
-                   tuple("a%d" % i for i in range(1, n + 1)),
-                   tuple("b%d" % a for a in range(1, k + 1)))
+        return cls(u, u.names[:n], u.names[n:n + k])
 
     @property
     def n(self) -> int:

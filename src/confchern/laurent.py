@@ -431,7 +431,8 @@ class LaurentPoly:
     def translate(self, name: str, c: Scalar) -> "LaurentPoly":
         """`name` replaced by `name` + c, for a polynomial without negative
         powers of `name`: each term's power is expanded by the binomial
-        theorem."""
+        theorem.  A negative power of `name` raises ValueError when c is
+        nonzero."""
         c = _as_fraction(c)
         if not c:
             return self
@@ -439,6 +440,9 @@ class LaurentPoly:
         i = u.index(name)
         place = u._place[i]
         powers = u._digits(self._coeffs, i)
+        if min(powers, default=0) < 0:
+            raise ValueError("cannot translate %r in a polynomial with "
+                             "negative powers of it" % name)
         # c = a/b; over b^top every term's coefficient is an integer
         a, b = c.numerator, c.denominator
         top = max([0] + powers)
@@ -581,6 +585,13 @@ def _binomial_misses(p: LaurentPoly, f: LaurentPoly) -> bool:
 def _exact_div(p: LaurentPoly, f: LaurentPoly):
     """Quotient p/f if f divides p exactly (up to monomials), else None.
 
+    p must be nonzero and f a denominator factor as _normalize_den makes
+    it: at least two terms, leading coefficient 1 (its lex-leading
+    numerator is f._denom) and minimum exponent 0 in every variable.  The
+    integer numerators of such an f have content 1, so p's numerators are
+    divided over Z by f's own, exactly whenever the division over Q is
+    (Gauss's lemma).
+
     A binomial f = c_u X^u + c_v X^v with an entry w_i = +-1 of w = u - v
     is first tested by substitution.  Up to a unit, such an f is
     x_i - gamma X^m with gamma = -c_v/c_u (for w_i = 1; swap u and v for
@@ -597,57 +608,43 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     decides.  (A carry cannot turn a hit into a miss: merged sums of zero
     sums are zero.)
 
-    p's integer numerators are divided over Z by the primitive part of f:
-    by Gauss's lemma that division is exact whenever the one over Q is.
     Lex order is a monomial order, so p's lex-highest and lex-lowest terms
-    are those of the primitive part times those of the integer quotient.
-    An end coefficient of p that the matching one of the primitive part
-    does not divide is therefore a miss, refuted from four dict entries
-    before any exponent is unpacked.  Every other case goes on to long
-    division.
+    are those of f times those of the integer quotient.  An end
+    coefficient of p that the matching one of f does not divide is
+    therefore a miss, refuted from four dict entries before any exponent
+    is unpacked.  Every other case goes on to long division.
 
     Monomial factors always divide in the Laurent ring, so divisibility is
-    tested after shifting both operands to nonnegative exponents.  A
-    leading coefficient that leaves a remainder is a miss.  The remainder
-    lives in one dict that each step updates in place: the lex-leading
-    term is cancelled against f's leading term, and only the terms that
-    f's other terms touch are rewritten.  The leading term comes off a heap
-    of negated keys beside the dict (Johnson's heap division): a key is
+    tested after shifting p to nonnegative exponents.  A leading
+    coefficient that leaves a remainder is a miss.  The remainder lives in
+    one dict that each step updates in place: the lex-leading term is
+    cancelled against f's leading term, and only the terms that f's other
+    terms touch are rewritten.  The leading term comes off a heap of
+    negated keys beside the dict (Johnson's heap division): a key is
     pushed when it enters the remainder, and a popped key that has since
     left it is skipped, so the steps are those of taking max(rem) each
     time.  A quotient term has exponents in the box
     [0, span(p) - span(f)], so a step outside it is a miss too; that keeps
     every exponent of the remainder within span(p).
     """
-    if p.is_zero():
-        return p
     pc, fc = p._coeffs, f._coeffs
     if len(fc) == 2 and _binomial_misses(p, f):
         return None
-    # f = (content / f._denom) * primitive part
-    content = math.gcd(*fc.values())
-    if (pc[max(pc)] % (fc[max(fc)] // content)
-            or pc[min(pc)] % (fc[min(fc)] // content)):
+    lead_c = f._denom
+    if pc[max(pc)] % lead_c or pc[min(pc)] % fc[min(fc)]:
         return None
     u = p.universe
     p_low, p_high = u._box(pc)
-    f_low, f_high = u._box(fc)
-    room = [ph - pl - fh + fl
-            for pl, ph, fl, fh in zip(p_low, p_high, f_low, f_high)]
+    f_high = u._box(fc)[1]
+    room = [ph - pl - fh for pl, ph, fh in zip(p_low, p_high, f_high)]
     if room and min(room) < 0:
         return None
-    p_off, f_off = u._key(p_low), u._key(f_low)
+    p_off = u._key(p_low)
     rem = {k - p_off: c for k, c in pc.items()}
     heap = [-k for k in rem]
     heapq.heapify(heap)
-    # the primitive part, with a positive lead
-    f0 = {k - f_off: c // content for k, c in fc.items()}
-    lead = max(f0)
-    lead_c = f0.pop(lead)
-    if lead_c < 0:
-        lead_c, content = -lead_c, -content
-        f0 = {k: -c for k, c in f0.items()}
-    rest = list(f0.items())
+    lead = max(fc)
+    rest = [(k, c) for k, c in fc.items() if k != lead]
     # with every digit below half the range, adding the guard bits keeps
     # each digit's top bit exactly when that digit is nonnegative
     guard = u._guard
@@ -677,21 +674,23 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
                 rem[key] = old - d
             else:
                 del rem[key]
-    # undo the shifts and the content:
-    # p/f = x^(p_low - f_low) * quotient * f._denom / (p._denom * content)
-    back = p_off - f_off
-    scale = f._denom if content > 0 else -f._denom
-    bound = _check_bound(max([0] + [max(abs(pl - fl), abs(ph - fh))
-                                    for pl, ph, fl, fh
-                                    in zip(p_low, p_high, f_low, f_high)]))
-    return _canonical(u, {q + back: c * scale for q, c in quot},
-                      p._denom * abs(content), bound)
+    # undo the shift: p/f = x^p_low * quotient * f._denom / p._denom
+    bound = _check_bound(max([0] + [max(abs(pl), abs(ph - fh))
+                                    for pl, ph, fh
+                                    in zip(p_low, p_high, f_high)]))
+    return _canonical(u, {q + p_off: c * lead_c for q, c in quot},
+                      p._denom, bound)
 
 
 def _normalize_den(den: LaurentPoly):
     """Split a nonzero denominator into a monomial to move into the
     numerator and a normalized factor (leading coefficient 1, minimum
-    exponents 0), the latter None when the denominator is a monomial."""
+    exponents 0), the latter None when the denominator is a monomial.
+
+    This is the only place that gives a factor its shape, and RatFunc's
+    constructor is its only caller.  Every other RatFunc operation only
+    carries factors over from its operands, so every factor has this
+    shape, and _exact_div relies on it."""
     u = den.universe
     low, high = u._box(den._coeffs)
     off = u._key(low)
@@ -710,8 +709,8 @@ def _normalize_den(den: LaurentPoly):
 class RatFunc:
     """Quotient of Laurent polynomials with cross-multiplication equality.
 
-    The denominator is held as a multiset of normalized irreducible-as-built
-    factors, which lets sums share denominators and lets exact trial
+    The denominator is held as a multiset of irreducible-as-built factors,
+    each normalized by _normalize_den, which lets sums share denominators and lets exact trial
     division cancel factors cheaply.  No polynomial gcd is ever computed;
     correctness never relies on cancellation succeeding.
 
@@ -750,7 +749,7 @@ class RatFunc:
 
     def _reduced(self) -> "RatFunc":
         """Cancel denominator factors that exactly divide the numerator."""
-        if not self._factors or self.num.is_zero():
+        if not self._factors:
             return self
         num = self.num
         factors = {}
@@ -849,10 +848,10 @@ class RatFunc:
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
             if isinstance(other, (int, Fraction)):
-                # a scalar scales the numerator; it is never lifted to a
-                # RatFunc constant
-                return RatFunc._make(self.num * other,
-                                     self._factors)._reduced()
+                # a scalar scales the numerator and keeps the factors, as
+                # negation does: a factor divides c * num exactly when it
+                # divides num.  It is never lifted to a RatFunc constant.
+                return RatFunc._make(self.num * other, self._factors)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -884,9 +883,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDenominatorError("division by zero rational function")
-        scaled, factor = _normalize_den(self.num)
-        return RatFunc._make(self.den * scaled,
-                             {factor: 1} if factor is not None else {})
+        return RatFunc(self.den, self.num)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

@@ -149,6 +149,7 @@ GOLDEN = """\
 0 edfa40ab51421d16a15433bbdc95f3b397699d54a1dc20e049a01688c6a901a6 conf-proj --n 3 --point 3,3,2 --output json
 0 3039c6138abfce20976a9bf5444b3b4bf335a37eda1ba5caeb6585fbf9c0771a conf-proj --n 3 --point 3,3,3 --output text
 0 d67cf67e8349aeda0c6e80498a793d6259938bdf1a284f1e5f54f5d771689b53 conf-proj --n 3 --point 3,3,3 --output json
+0 a47dd19250760af17f99fbd62638d71c166b66d8666f1eeb5770ce06db5bc3d4 conf-proj --n 4 --point 1,1,2,3 --output json
 0 1fe43c96537302cdeefed5adfe32cb69054116ae70b334d21106dcf0c9161712 orbit --n 1 --k 1 --output text
 0 87b86ead4b62f468cfabd1589d3e619248d6f0faa7ef81d8748d9a5b21353f68 orbit --n 1 --k 1 --output json
 0 9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa orbit --n 1 --k 2 --output text
@@ -170,12 +171,15 @@ GOLDEN = """\
 0 7e8149a2039738c4e70f4cb8eaf4767defa669773c462246af81ca83c59c9f20 orbit-full --n 2 --k 2 --output json
 0 3bd70f19c85cc0c91ffd43a4903dc219e6bb252439e7223126558f096a598ccf orbit-full --n 2 --k 3 --output text
 0 e55915183eca30e1fd4f0b512f605f4dba6c63f144bdb78431ab8849a4967f0f orbit-full --n 2 --k 3 --output json
+0 4ac9713466fc4490180b164b66e60f02cdeaebffac9a9dfd1334e3537f3058b1 orbit-full --n 3 --k 2 --output text
+0 eb6e3d2d1929e05ee142d197f0bfe64cf2cfada1cf086d040c79ab8a441ed722 orbit-full --n 3 --k 3 --output json
 0 aef7d9fa9910f530d3eb6ef1a609bc455e44c24a920f1dc85329750706d11dc6 check --name a-oracle --k 4
 0 9c0ef4f31c16b4bfab80756a8ff5b54314b32e9984969e60aa391a488c39ef4e check --name a-oracle --k 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name szeregi --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s3-point --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 1 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 2 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas 2,3 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2,3 --N 3
@@ -183,6 +187,7 @@ GOLDEN = """\
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 4 --k 3
 0 573c3e560e3e1910805a353d82de46a1986cb96fffd55b986dcc4524314e34ed check --name recursion --n 2 --k 3
 0 24acda4837390294522f260446ee1496cbb1daed4ea24762db7c4c8d4d114e30 check --name recursion --n 3 --k 2
+0 8ab9c4889a19d6d4f0863ad049506827fd0473d1c64da4b24d82b7507bdea726 check --name limits-props --count 50
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 4 --output json
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-affine --n 1 --k 0
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-affine --n 1 --k 8

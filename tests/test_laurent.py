@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from confchern import classes, laurent, limits
 from confchern.laurent import (EXP_LIMIT, ExponentOverflowError, LaurentPoly,
                                RatFunc, UniverseMismatchError, VarUniverse,
-                               ZeroDenominatorError, _exact_div)
+                               ZeroDenominatorError, _exact_div,
+                               _normalize_den)
 from oracles import DictPoly, parse_laurent_poly
 
 U = VarUniverse(("a1", "a2", "y"))
@@ -182,11 +184,13 @@ def test_first_power_runs_no_product(monkeypatch):
 
 
 _UNREDUCED_NUM = (lp("y") + 1) * (lp("a1") - 1)
+# a1 - 1 divides the numerator, and the constructor does not cancel it
+_UNREDUCED = RatFunc(_UNREDUCED_NUM, lp("a1") - 1)
 
 
 _scaled_ratfuncs = pytest.mark.parametrize("f", [
     RatFunc(lp("y") + 1, lp("a1") - 1) * RatFunc(lp("a2"), lp("a2") + 2),
-    RatFunc(_UNREDUCED_NUM, lp("a1") - 1),
+    _UNREDUCED,
     RatFunc(_UNREDUCED_NUM * lp("a2", -1),
             (lp("a2") * lp("y") + 1) * (lp("a1") - 1)),
     RatFunc(lp("a2", -2) * 3),
@@ -199,22 +203,38 @@ _scaled_ratfuncs = pytest.mark.parametrize("f", [
 def test_scalar_product_storage_is_the_constant_product(f, c):
     want = f * RatFunc.const(U, c)
     for got in (f * c, c * f):
-        assert got.num._coeffs == want.num._coeffs
-        assert list(got.num._coeffs) == list(want.num._coeffs)
-        assert got.num._denom == want.num._denom
-        assert got._factors == want._factors
+        assert got == want
+        assert _storage(got) == _scalar_storage(f, c, want)
+
+
+def _scalar_storage(f, c, constant_product):
+    """The storage of f * c: that of the constant product, except that an
+    unreduced f keeps its factors, as -f does, where the constant product
+    cancels them."""
+    if f is not _UNREDUCED or not c:
+        return _storage(constant_product)
+    num = f.num * c
+    return (list(num._coeffs.items()), num._denom, _storage(f)[2])
+
+
+@_scaled_ratfuncs
+def test_negation_is_the_product_by_minus_one(f):
+    assert _storage(f * -1) == _storage(-1 * f) == _storage(-f)
 
 
 @_scaled_ratfuncs
 @pytest.mark.parametrize("c", [1, 3, -2, Fraction(-5, 2), Fraction(2, 7)])
 def test_scalar_quotient_storage_is_the_inverse_product(f, c, monkeypatch):
-    want = _storage(f * RatFunc.const(U, c).inverse())
+    want = f * RatFunc.const(U, c).inverse()
+    storage = _scalar_storage(f, Fraction(1, c), want)
     inverses = []
     real = RatFunc.inverse
     monkeypatch.setattr(RatFunc, "inverse",
                         lambda self: inverses.append(self) or real(self))
-    assert _storage(f / c) == want
+    got = f / c
     assert inverses == []
+    assert got == want
+    assert _storage(got) == storage
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
@@ -439,17 +459,33 @@ def _shifted(p):
     return {tuple(x - m for x, m in zip(e, low)): c for e, c in p.terms.items()}
 
 
+def _factor(f):
+    """f as RatFunc stores it in a denominator, which is the only divisor
+    _exact_div takes; a monomial is never a factor, so it is skipped."""
+    factor = _normalize_den(f)[1]
+    assume(factor is not None)
+    return factor
+
+
+def _dividend(p, q, f, multiple):
+    """q * f or p, the nonzero dividend _exact_div takes."""
+    p = q * f if multiple else p
+    assume(not p.is_zero())
+    return p
+
+
 @settings(max_examples=60, deadline=None)
 @given(nonzero_polys, nonzero_polys)
 def test_exact_div_recovers_quotient(q, f):
+    f = _factor(f)
     assert _exact_div(q * f, f) == q
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys(), nonzero_polys, nonzero_polys, st.booleans())
 def test_exact_div_result_is_quotient(p, q, f, multiple):
-    if multiple:
-        p = q * f
+    f = _factor(f)
+    p = _dividend(p, q, f, multiple)
     r = _exact_div(p, f)
     if r is not None:
         assert r * f == p
@@ -461,8 +497,8 @@ def test_exact_div_none_iff_sympy_remainder(p, q, f, multiple):
     # f divides p in the Laurent ring exactly when the polynomial division
     # of the shifted p by the shifted f leaves no remainder
     sympy = pytest.importorskip("sympy")
-    if multiple:
-        p = q * f
+    f = _factor(f)
+    p = _dividend(p, q, f, multiple)
     gens = sympy.symbols(U.names)
 
     def to_sympy(terms):
@@ -544,6 +580,16 @@ def test_structure_queries_match_oracle(p, vec, i, power):
     assert DictPoly.of(p.coeff_of(name, power)) == dp.coeff_of(i, power)
 
 
+def test_translate_rejects_negative_powers():
+    p = lp("a1", -1) + lp("y")
+    for c in (1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="'a1'"):
+            p.translate("a1", c)
+    # a zero shift, or a variable with no negative power, is fine
+    assert p.translate("a1", 0) == p
+    assert p.translate("y", 1) == p + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(), st.sampled_from(range(len(U))), _coeff)
 def test_translate_matches_oracle(p, i, c):
@@ -578,9 +624,9 @@ def test_rendering_matches_oracle(p):
 
 @st.composite
 def monic_divisors(draw):
-    """Divisors with leading coefficient 1 and, mostly, non-integer other
-    coefficients: the quotient by the primitive part then needs Gauss's
-    lemma to stay integral."""
+    """Divisors of two or more terms with leading coefficient 1 and,
+    mostly, non-integer other coefficients: the quotient by their integer
+    numerators then needs Gauss's lemma to stay integral."""
     f = draw(polys(min_terms=2).filter(lambda f: len(f.terms) >= 2))
     lead = DictPoly.of(f).sorted_terms()[0][1]
     return f * (1 / lead)
@@ -590,7 +636,8 @@ def monic_divisors(draw):
 @given(polys(), nonzero_polys | monic_divisors(), nonzero_polys,
        st.booleans())
 def test_exact_div_matches_oracle(p, f, q, multiple):
-    _assert_exact_div_matches_oracle(q * f if multiple else p, f)
+    f = _factor(f)
+    _assert_exact_div_matches_oracle(_dividend(p, q, f, multiple), f)
 
 
 def _assert_exact_div_matches_oracle(p, f):
@@ -624,7 +671,8 @@ def binomial_divisors(draw):
 @settings(max_examples=150, deadline=None)
 @given(polys(), binomial_divisors(), nonzero_polys, st.booleans())
 def test_exact_div_by_binomial_matches_oracle(p, f, q, multiple):
-    _assert_exact_div_matches_oracle(q * f if multiple else p, f)
+    f = _factor(f)
+    _assert_exact_div_matches_oracle(_dividend(p, q, f, multiple), f)
 
 
 _non_unit = st.sampled_from((-6, -4, -3, -2, 2, 3, 4, 6))
@@ -633,7 +681,9 @@ _non_unit = st.sampled_from((-6, -4, -3, -2, 2, 3, 4, 6))
 @st.composite
 def end_heavy_divisors(draw):
     """Divisors of 3 or 4 terms whose primitive part has no unit at its
-    lex-highest or its lex-lowest term, times a rational."""
+    lex-highest or its lex-lowest term, times a rational.  Normalized, such
+    a divisor is a monomial times +-1/lead times that primitive part, so
+    its integer numerators are the primitive part's, up to sign."""
     n = draw(st.integers(min_value=3, max_value=4))
     exps = sorted(draw(st.lists(st.tuples(_exp, _exp, _exp), min_size=n,
                                 max_size=n, unique=True)))
@@ -653,6 +703,7 @@ def end_heavy_divisors(draw):
 def test_end_coefficient_refutation_matches_oracle(f, q, c, where, e):
     # multiples must hit; a near-multiple moved at an end term is refuted
     # by its end coefficients when they no longer divide
+    f = _factor(f)
     p = q * f
     assert _exact_div(p, f) == q
     _assert_exact_div_matches_oracle(p, f)
@@ -662,21 +713,26 @@ def test_end_coefficient_refutation_matches_oracle(f, q, c, where, e):
 
 
 def test_end_coefficient_refutation_boxes_nothing(monkeypatch):
-    # ends 2 a1^2 and 3 y^2; q * f has ends 2 a1^3 and 3 y^2
+    # f's numerators over 2 have ends 2 a1^2 and 3 y^2, and those of q * f
+    # ends 2 a1^3 and 3 y^2; a near-multiple below moves an end to 3 a1^3,
+    # 4 y^2 or (over 10) -7 y^2
     f = 2 * lp("a1", 2) + lp("a1") * lp("y") + 3 * lp("y", 2)
+    f = _normalize_den(f)[1]
+    assert f._denom == 2
     q = lp("a1") - lp("a2") + 1
     boxes = []
     real = VarUniverse._box
     monkeypatch.setattr(VarUniverse, "_box",
                         lambda self, keys: boxes.append(keys) or real(self, keys))
-    for near in (q * f + lp("a1", 3), q * f + lp("y", 2),
+    half = Fraction(1, 2)
+    for near in (q * f + lp("a1", 3) * half, q * f + lp("y", 2) * half,
                  q * f * Fraction(1, 5) - lp("y", 2)):
         assert _exact_div(near, f) is None
     assert boxes == []
     # ends that divide go on to long division
     assert _exact_div(q * f + 2 * lp("a1", 3), f) is None
     assert boxes
-    assert _exact_div(q * f * 7, f * Fraction(2, 3)) == q * Fraction(21, 2)
+    assert _exact_div(q * f * 7, f) == q * 7
 
 
 @pytest.mark.parametrize("f", [
@@ -687,6 +743,7 @@ def test_end_coefficient_refutation_boxes_nothing(monkeypatch):
 ], ids=["unit-entry", "unit-entry-laurent", "difference-of-squares",
         "no-unit-entry-constant"])
 def test_exact_div_by_fixed_binomials(f):
+    f = _normalize_den(f)[1]
     q = lp("a1") * lp("a2", -1) + 5 * lp("y", 2) - 1
     assert _exact_div(q * f, f) == q
     assert _exact_div(q * f + 1, f) is None
@@ -701,10 +758,55 @@ def test_exact_div_by_binomial_beyond_the_digit_range():
     pairs = [(lp("a2", 3) + 1, lp("a2") - lp("a1", half)),
              (lp("y", 8) - lp("a1") * lp("a2", -8), lp("y") - lp("a2", half))]
     for p, f in pairs:
+        f = _normalize_den(f)[1]
         assert _exact_div(p, f) is None
         assert _exact_div(p * f, f) == p
         _assert_exact_div_matches_oracle(p, f)
         _assert_exact_div_matches_oracle(p * f, f)
+
+
+# -- the denominator-factor invariant ----------------------------------------
+
+def _assert_factor_shape(f):
+    """f has the shape _normalize_den gives a factor: at least two terms,
+    leading coefficient 1 and minimum exponent 0 in every variable."""
+    assert len(f._coeffs) >= 2
+    assert f._coeffs[max(f._coeffs)] == f._denom
+    assert all(f.min_exp(name) == 0 for name in f.universe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), ratfuncs(), st.sampled_from([3, Fraction(-5, 2)]),
+       st.integers(min_value=1, max_value=3), monomial_bindings())
+def test_every_factor_is_normalized(f, g, c, k, bindings):
+    results = [f + g, f - g, f * g, f * c, c * f, f / c, -f, f ** k]
+    if g:
+        results += [f / g, g.inverse(), g ** -k]
+    try:
+        results.append(f.substitute(bindings))
+    except ZeroDenominatorError:
+        pass
+    for r in results:
+        for factor in r._factors:
+            _assert_factor_shape(factor)
+
+
+def test_trial_divisions_meet_their_precondition(monkeypatch):
+    # every divisor RatFunc._reduced passes is a factor and every dividend
+    # is nonzero, on a class computation and on limit property cases
+    calls = []
+    real = laurent._exact_div
+
+    def checked(p, f):
+        assert not p.is_zero()
+        _assert_factor_shape(f)
+        calls.append(len(f._coeffs))
+        return real(p, f)
+
+    monkeypatch.setattr(laurent, "_exact_div", checked)
+    classes.mc_orbit_full(classes.TorusData.standard(2, k=3), 3)
+    assert limits.run_limit_property_suite(count=20) == (0, 20)
+    assert calls and 2 in calls and max(calls) > 2
 
 
 def _storage(f):
