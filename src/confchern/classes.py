@@ -27,9 +27,14 @@ class TorusData:
 
     def __init__(self, universe: VarUniverse, alpha: Sequence[str],
                  beta: Sequence[str] = ()):
-        if len(set(alpha)) != len(alpha):
-            raise ValueError("alpha names must be distinct")
-        for name in tuple(alpha) + tuple(beta):
+        names = tuple(alpha) + tuple(beta)
+        if len(set(names)) != len(names):
+            raise ValueError("alpha and beta names must be distinct, got %r"
+                             % (names,))
+        # "y" is the class parameter, not a torus weight
+        if "y" in names:
+            raise ValueError("'y' cannot be a weight name")
+        for name in names:
             universe.index(name)
         self.universe, self.alpha, self.beta = universe, alpha, beta
 
@@ -115,12 +120,14 @@ def euler_point(t: TorusData, k: int = 1) -> RatFunc:
     return acc ** k
 
 
-def euler_point_beta(t: TorusData, k: int) -> RatFunc:
-    """Euler class of the origin in (C^n)^k with weights b_a * a_j."""
+def euler_reciprocal(t: TorusData, weights) -> RatFunc:
+    """The reciprocal of the Euler class prod_w (1 - 1/w) of monomial
+    weights w, built one weight at a time as prod_w w / (w - 1).  Each
+    binomial w - 1 stays a denominator factor of its own, so the
+    reciprocals over overlapping lists of weights share their factors."""
     acc = t.one()
-    for a in range(1, k + 1):
-        for j in range(1, t.n + 1):
-            acc = acc * (1 - 1 / (t.b(a) * t.a(j)))
+    for w in weights:
+        acc = acc * (w / (w - 1))
     return acc
 
 
@@ -137,6 +144,20 @@ def lambda_y_proj(t: TorusData, i: int):
         numer = numer * (1 + t.y * t.a(i) / t.a(j))
         denom = denom * (1 - t.a(i) / t.a(j))
     return numer, denom
+
+
+def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
+    """lambda_y over lambda_{-1} of projective space at the i-th fixed
+    point, prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j), built one j at a
+    time.  Each binomial 1 - a_i/a_j stays a denominator factor of its
+    own, which the factor at the j-th fixed point shares."""
+    if not 1 <= i <= t.n:
+        raise ValueError("fixed point index out of range")
+    acc = t.one()
+    for j in range(1, t.n + 1):
+        if j != i:
+            acc = acc * (1 + t.y * t.a(i) / t.a(j)) / (1 - t.a(i) / t.a(j))
+    return acc
 
 
 def mc_conf_generic(data: LocalClassData, k: int) -> RatFunc:
@@ -206,23 +227,23 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     """Class of the space of k pairwise linearly independent nonzero vectors
     in C^n, with per-point scaling weights b_1..b_k: the partition sum over
     set partitions P of [k] of a(P) * prod_{B in P} w(B), where
-    w(B) = sum_i prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j)
-                 * prod_{a in B} prod_j psi(i, j, b_a a_j)."""
+    w(B) = sum_i L_i * prod_{a in B} prod_j psi(i, j, b_a a_j) and L_i is
+    the `fixed_point_factor` at i."""
+    if k < 1:
+        raise ValueError("k must be at least 1, got %d" % k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
 
-    # w(B) = sum_i L_i prod_{a in B} Psi_{i,a}; neither L_i (the product
-    # over j != i) nor Psi_{i,a} = prod_j psi(i, j, b_a a_j) depends on the
-    # block, so each is computed once
-    lead = []
+    # w(B) = sum_i L_i prod_{a in B} Psi_{i,a}, Psi_{i,a} = prod_j
+    # psi(i, j, b_a a_j), whose denominators are monomials.  The factors of
+    # the L_i cancel only in the whole sum, so the L_i are lifted over their
+    # common denominator once: each w(B) is then a sum with no factor times
+    # the shared reciprocal, and that one product cancels them all
+    lifted, recip = RatFunc.over_common_den(
+        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
+    lifted = [RatFunc(num) for num in lifted]
     psis = []
     for i in range(1, t.n + 1):
-        prod = t.one()
-        for j in range(1, t.n + 1):
-            if j != i:
-                prod = prod * (1 + t.y * t.a(i) / t.a(j)) \
-                            / (1 - t.a(i) / t.a(j))
-        lead.append(prod)
         row = {}
         for a in range(1, k + 1):
             acc = t.one()
@@ -233,11 +254,11 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
 
     def weight(block):
         acc = RatFunc.const(t.universe, 0)
-        for prod, row in zip(lead, psis):
+        for prod, row in zip(lifted, psis):
             for a in block:
                 prod = prod * row[a]
             acc = acc + prod
-        return acc
+        return acc * recip
 
     return partition_sum(SetPartition(k, [range(1, k + 1)]), weight, t.one())
 
@@ -245,12 +266,18 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
 def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     """Localized class of the space of k vectors with pairwise distinct
     spanned lines where vectors are allowed to vanish: the strictly nonzero
-    part plus k copies of the one-fewer-vector part."""
-    main = mc_orbit_conf(t, k) / euler_point_beta(t, k)
+    part plus k copies of the one-fewer-vector part, each over the Euler
+    class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1)."""
+    conf = mc_orbit_conf(t, k)
+    # the weights of point a are the a-th run of n, so the reciprocal for
+    # k - 1 points has the first (k - 1) n of the factors of that for k
+    weights = [t.b(a) * t.a(j) for a in range(1, k + 1)
+               for j in range(1, t.n + 1)]
+    main = conf * euler_reciprocal(t, weights)
     if k == 1:
         prev = t.one()
     else:
-        prev = mc_orbit_conf(t, k - 1) / euler_point_beta(t, k - 1)
+        prev = mc_orbit_conf(t, k - 1) * euler_reciprocal(t, weights[:-t.n])
     return main + k * prev
 
 

@@ -749,7 +749,9 @@ class RatFunc:
 
     def _reduced(self) -> "RatFunc":
         """Cancel denominator factors that exactly divide the numerator."""
-        if not self._factors:
+        # a factor has at least two terms, so it is not a unit of the
+        # Laurent ring and divides no monomial numerator
+        if not self._factors or len(self.num._coeffs) == 1:
             return self
         num = self.num
         factors = {}
@@ -802,30 +804,44 @@ class RatFunc:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _over_common_den(self, other):
-        """Both numerators over the smallest common multiset of factors:
-        (self.num * extra, other.num * extra', merged factors)."""
-        _check_same(self, other)
-        merged = dict(self._factors)
-        for f, power in other._factors.items():
-            if merged.get(f, 0) < power:
-                merged[f] = power
-        left, right = self.num, other.num
-        for f, power in merged.items():
-            extra = power - self._factors.get(f, 0)
-            if extra:
-                left = left * f ** extra
-            extra = power - other._factors.get(f, 0)
-            if extra:
-                right = right * f ** extra
-        return left, right, merged
+    @staticmethod
+    def _lift(values):
+        """The values' numerators over the least common multiset of their
+        factors, and that multiset."""
+        first = values[0]
+        merged = dict(first._factors)
+        for v in values[1:]:
+            _check_same(first, v)
+            for f, power in v._factors.items():
+                if merged.get(f, 0) < power:
+                    merged[f] = power
+        nums = []
+        for v in values:
+            num, own = v.num, v._factors
+            for f, power in merged.items():
+                extra = power - own.get(f, 0)
+                if extra:
+                    num = num * f ** extra
+            nums.append(num)
+        return nums, merged
+
+    @staticmethod
+    def over_common_den(values):
+        """The values' numerators over the least common multiset of their
+        factors, and the reciprocal of that denominator (numerator 1, those
+        factors): numerators[i] * reciprocal == values[i].  A sum formed
+        over the lifted numerators needs no factor until it is multiplied
+        by the reciprocal, whose product with it reduces once."""
+        nums, merged = RatFunc._lift(values)
+        return nums, RatFunc._make(LaurentPoly._make(values[0].universe,
+                                                     {0: 1}), merged)
 
     def _combine(self, other, op):
         """op(self, other) over the common denominator, op add or sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        left, right, merged = self._over_common_den(other)
+        (left, right), merged = RatFunc._lift((self, other))
         return RatFunc._make(op(left, right), merged)._reduced()
 
     def __add__(self, other):
@@ -900,7 +916,7 @@ class RatFunc:
         if other is None:
             return NotImplemented
         # cross-multiply, skipping factors shared by both denominators
-        left, right, _ = self._over_common_den(other)
+        (left, right), _ = RatFunc._lift((self, other))
         return left == right
 
     # -- misc --------------------------------------------------------------

@@ -10,8 +10,8 @@ from typing import Sequence
 
 from .laurent import RatFunc, UniverseMismatchError, VarUniverse
 from .partitions import SetPartition, partition_sum
-from .classes import (TorusData, euler_point, lambda_y_proj, mc_orbit_conf,
-                      mc_orbit_full)
+from .classes import (TorusData, euler_reciprocal, fixed_point_factor,
+                      mc_orbit_conf, mc_orbit_full)
 
 
 class TruncSeries:
@@ -215,8 +215,10 @@ def orbit_series(n: int, n_order: int) -> TruncSeries:
     weight universe (scaling weights specialized to 1)."""
     t_data = TorusData.standard(n, k=n_order)
     ones = {name: 1 for name in t_data.beta}
+    # over euler_point(t_data, k), whose reciprocal is this one's k-th power
+    recip = euler_reciprocal(t_data, [t_data.a(j) for j in range(1, n + 1)])
     return _egf(t_data.universe, n_order, lambda k: mc_orbit_conf(
-        t_data, k).substitute(ones) / euler_point(t_data, k))
+        t_data, k).substitute(ones) * recip ** k)
 
 
 def orbit_series_sides(n: int, n_order: int):
@@ -229,9 +231,8 @@ def orbit_series_sides(n: int, n_order: int):
     rhs = TruncSeries.const(universe, n_order, 1)
     one_plus_y = 1 + t_data.y
     for i in range(1, n + 1):
-        lam_y, lam_m1 = lambda_y_proj(t_data, i)
         arg = (one_plus_y / (t_data.a(i) - 1)) * TruncSeries.t(universe, n_order)
-        rhs = rhs * ((lam_y / lam_m1) * arg.log1p()).exp()
+        rhs = rhs * (fixed_point_factor(t_data, i) * arg.log1p()).exp()
     return lhs, rhs
 
 

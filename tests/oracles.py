@@ -9,8 +9,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List
 
+from confchern.classes import euler_point, psi
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
-from confchern.partitions import SetPartition
+from confchern.partitions import SetPartition, partition_sum
 
 ORDERED_CAP = 9
 
@@ -167,6 +168,94 @@ def lambda_quotient_fold(summands) -> RatFunc:
         num = num * (1 + y * w) ** sm.multiplicity
         den = den * (1 - w) ** sm.multiplicity
     return num / den
+
+
+def ratfunc_storage(f: RatFunc):
+    """Everything a RatFunc holds, in order: numerator keys, denominators,
+    bounds, and each factor's storage in factor order with its power."""
+    def poly(p):
+        return list(p._coeffs.items()), p._denom, p._bound
+    return poly(f.num), [(poly(g), power) for g, power in f._factors.items()]
+
+
+def euler_point_beta(t, k: int) -> RatFunc:
+    """Euler class of the origin in (C^n)^k with weights b_a * a_j,
+    expanded: prod_{a, j} (1 - 1/(b_a a_j))."""
+    acc = t.one()
+    for a in range(1, k + 1):
+        for j in range(1, t.n + 1):
+            acc = acc * (1 - 1 / (t.b(a) * t.a(j)))
+    return acc
+
+
+def mc_orbit_conf_pairwise(t, k: int) -> RatFunc:
+    """`classes.mc_orbit_conf` with each block weight summed pairwise over
+    the fixed points: every partial sum L_1 Psi_1(B) + ... + L_i Psi_i(B)
+    carries the factors of L_1..L_i and is trial-divided by them."""
+    lead = []
+    psis = []
+    for i in range(1, t.n + 1):
+        prod = t.one()
+        for j in range(1, t.n + 1):
+            if j != i:
+                prod = prod * (1 + t.y * t.a(i) / t.a(j)) \
+                            / (1 - t.a(i) / t.a(j))
+        lead.append(prod)
+        row = {}
+        for a in range(1, k + 1):
+            acc = t.one()
+            for j in range(1, t.n + 1):
+                acc = acc * psi(t.universe, i, j, t.b(a) * t.a(j))
+            row[a] = acc
+        psis.append(row)
+
+    def weight(block):
+        acc = RatFunc.const(t.universe, 0)
+        for prod, row in zip(lead, psis):
+            for a in block:
+                prod = prod * row[a]
+            acc = acc + prod
+        return acc
+
+    return partition_sum(SetPartition(k, [range(1, k + 1)]), weight, t.one())
+
+
+def mc_orbit_full_expanded(t, k: int) -> RatFunc:
+    """`classes.mc_orbit_full` over the expanded Euler classes: each part
+    is divided by one factor, the product `euler_point_beta`."""
+    main = mc_orbit_conf_pairwise(t, k) / euler_point_beta(t, k)
+    if k == 1:
+        prev = t.one()
+    else:
+        prev = mc_orbit_conf_pairwise(t, k - 1) / euler_point_beta(t, k - 1)
+    return main + k * prev
+
+
+def orbit_coefficient_expanded(t, k: int) -> RatFunc:
+    """The k-th coefficient of `series.orbit_series` (up to 1/k!) over the
+    expanded Euler class: mc_orbit_conf at unit scaling weights divided by
+    `classes.euler_point`."""
+    ones = {name: 1 for name in t.beta}
+    return mc_orbit_conf_pairwise(t, k).substitute(ones) / euler_point(t, k)
+
+
+def over_common_den_pair(f: RatFunc, g: RatFunc):
+    """Both numerators over the least common multiset of the two operands'
+    factors, and that multiset: the two-operand form that `+`, `-` and `==`
+    once used."""
+    merged = dict(f._factors)
+    for h, power in g._factors.items():
+        if merged.get(h, 0) < power:
+            merged[h] = power
+    left, right = f.num, g.num
+    for h, power in merged.items():
+        extra = power - f._factors.get(h, 0)
+        if extra:
+            left = left * h ** extra
+        extra = power - g._factors.get(h, 0)
+        if extra:
+            right = right * h ** extra
+    return left, right, merged
 
 
 class OrderedPartition:

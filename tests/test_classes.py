@@ -5,9 +5,10 @@ from itertools import permutations, product
 
 import pytest
 
-from confchern import cli
+from confchern import classes, cli, laurent
 from confchern.classes import (LocalClassData, ProjFixedPoint, TorusData,
-                               euler_point, euler_point_beta, lambda_y_proj,
+                               euler_point, euler_reciprocal,
+                               fixed_point_factor, lambda_y_proj,
                                mc_conf_affine, mc_conf_generic,
                                mc_conf_proj_at, mc_conf_proj_recursion,
                                mc_conf_proj_refinement_sum, mc_line_classes,
@@ -15,6 +16,8 @@ from confchern.classes import (LocalClassData, ProjFixedPoint, TorusData,
                                standard_universe)
 from confchern.laurent import RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
+from oracles import (euler_point_beta, mc_orbit_conf_pairwise,
+                     mc_orbit_full_expanded, ratfunc_storage)
 
 
 def _one_block(k):
@@ -203,6 +206,99 @@ def test_euler_point_beta():
     t = TorusData.standard(1, k=2)
     want = (1 - 1 / (t.b(1) * t.a(1))) * (1 - 1 / (t.b(2) * t.a(1)))
     assert euler_point_beta(t, 2) == want
+
+
+def test_euler_reciprocal():
+    t = TorusData.standard(2, k=2)
+    weights = [t.b(a) * t.a(j) for a in (1, 2) for j in (1, 2)]
+    got = euler_reciprocal(t, weights)
+    assert got * euler_point_beta(t, 2) == 1
+    # one binomial factor b_a a_j - 1 per weight
+    assert sorted(len(f._coeffs) for f in got._factors) == [2] * 4
+    t1 = TorusData.standard(1)
+    assert euler_reciprocal(t1, [t1.a(1)] * 3) == 1 / euler_point(t1, 3)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_fixed_point_factor(n):
+    t = TorusData.standard(n)
+    for i in range(1, n + 1):
+        lam_y, lam_m1 = lambda_y_proj(t, i)
+        got = fixed_point_factor(t, i)
+        assert got == lam_y / lam_m1
+        # the binomials 1 - a_i/a_j stay apart
+        assert sorted(len(f._coeffs) for f in got._factors) == [2] * (n - 1)
+    with pytest.raises(ValueError):
+        fixed_point_factor(t, n + 1)
+
+
+@pytest.mark.parametrize("k", (0, -1))
+@pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
+def test_orbit_classes_need_positive_k(build, k):
+    with pytest.raises(ValueError, match="k must be at least 1, got %d" % k):
+        build(TorusData.standard(2, k=2), k)
+
+
+@pytest.mark.parametrize("alpha,beta,message", [
+    (("a1", "a1"), (), "must be distinct"),
+    (("a1", "a2"), ("b1", "b1"), "must be distinct"),
+    (("a1", "a2"), ("a2", "b1"), "must be distinct"),
+    (("a1", "a2"), ("y",), "'y' cannot be a weight name"),
+    (("a1", "y"), (), "'y' cannot be a weight name"),
+])
+def test_torus_data_rejects_clashing_names(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        TorusData(standard_universe(2, 2), alpha, beta)
+
+
+# the orbit sizes compared with the parent's forms in tests/oracles.py
+_ORBIT_SIZES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("n,k", _ORBIT_SIZES)
+def test_orbit_conf_matches_the_pairwise_sum(n, k):
+    # the same storage as summing each block weight pairwise: numerator
+    # keys in order, denominators, bounds, factor order and powers
+    t = TorusData.standard(n, k=k)
+    assert ratfunc_storage(mc_orbit_conf(t, k)) \
+        == ratfunc_storage(mc_orbit_conf_pairwise(t, k))
+
+
+@pytest.mark.parametrize("n,k", _ORBIT_SIZES)
+def test_orbit_full_matches_the_expanded_euler_class(n, k):
+    t = TorusData.standard(n, k=k)
+    got, want = mc_orbit_full(t, k), mc_orbit_full_expanded(t, k)
+    assert got == want
+    assert got.den == want.den
+
+
+def test_block_weight_divisions_all_hit(monkeypatch):
+    # the fixed-point sum of a block weight is formed over the common
+    # denominator of the L_i, so each of its factors divides it
+    results = []
+    inside = []
+    real_div, real_sum = laurent._exact_div, classes.partition_sum
+
+    def recording_div(p, f):
+        q = real_div(p, f)
+        if inside:
+            results.append(q is not None)
+        return q
+
+    def recording_sum(p0, block_weight, one):
+        def weight(block):
+            inside.append(block)
+            try:
+                return block_weight(block)
+            finally:
+                inside.pop()
+        return real_sum(p0, weight, one)
+
+    monkeypatch.setattr(laurent, "_exact_div", recording_div)
+    monkeypatch.setattr(classes, "partition_sum", recording_sum)
+    mc_orbit_conf(TorusData.standard(3, k=3), 3)
+    # 7 blocks, each over the 3 factors a_i - a_j
+    assert results == [True] * 21
 
 
 def test_mc_orbit_full_k1():

@@ -161,6 +161,8 @@ GOLDEN = """\
 0 24cab08dc1b321061952c6e2544cfd112a3d6bc8c401a9dc0c730edb27b64017 orbit --n 2 --k 4 --output text
 0 38d1e1d668359589238d839bf331b61520eba66ff949133edacc165f7fd60ed8 orbit --n 2 --k 4 --output json
 0 e0f6b53a1e6986d4593c0886a993949d850854d326e9e22fefa6cf97f8bb1e34 orbit --n 3 --k 3 --output json
+0 7b2cf2a6cd9c156f0af558f9ffefd6dd949feb80bcfa91a64fccd123be88fb93 orbit --n 3 --k 2 --output text
+0 d0a43a4e9925ad69b9729f1fc23b92d96760964c83c7cef3e74a6b25c6eef4fc orbit --n 4 --k 2 --output json
 0 1c2db87579384df2a3066cecb5c9c5cc5e563c98930669551c3b95b16b9ba569 orbit-full --n 1 --k 1 --output text
 0 1761ef1d41b8169afe010d924c4e2163b684f8cfd0e6f36e31298f9bf02a78dd orbit-full --n 1 --k 1 --output json
 0 1e018afd62a00026416e77eeb8b909daf75d4ad71b4cf17711613d2aef0674f8 orbit-full --n 1 --k 2 --output text
@@ -171,8 +173,10 @@ GOLDEN = """\
 0 7e8149a2039738c4e70f4cb8eaf4767defa669773c462246af81ca83c59c9f20 orbit-full --n 2 --k 2 --output json
 0 3bd70f19c85cc0c91ffd43a4903dc219e6bb252439e7223126558f096a598ccf orbit-full --n 2 --k 3 --output text
 0 e55915183eca30e1fd4f0b512f605f4dba6c63f144bdb78431ab8849a4967f0f orbit-full --n 2 --k 3 --output json
+0 2e1ba0aa65999e58f04993802099c0a674763683fdc988b22266c30ae1c0307d orbit-full --n 2 --k 4 --output json
 0 4ac9713466fc4490180b164b66e60f02cdeaebffac9a9dfd1334e3537f3058b1 orbit-full --n 3 --k 2 --output text
 0 eb6e3d2d1929e05ee142d197f0bfe64cf2cfada1cf086d040c79ab8a441ed722 orbit-full --n 3 --k 3 --output json
+0 d343494b500b4aab728703f93af60a401b47386b014ad550f9d8c133b02cc7ad orbit-full --n 4 --k 2 --output text
 0 aef7d9fa9910f530d3eb6ef1a609bc455e44c24a920f1dc85329750706d11dc6 check --name a-oracle --k 4
 0 9c0ef4f31c16b4bfab80756a8ff5b54314b32e9984969e60aa391a488c39ef4e check --name a-oracle --k 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name szeregi --N 5
@@ -180,6 +184,7 @@ GOLDEN = """\
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s3-point --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 1 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 2 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 3 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas 2,3 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2,3 --N 3

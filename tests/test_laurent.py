@@ -2,6 +2,8 @@
 
 import json
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from confchern.laurent import (EXP_LIMIT, ExponentOverflowError, LaurentPoly,
                                RatFunc, UniverseMismatchError, VarUniverse,
                                ZeroDenominatorError, _exact_div,
                                _normalize_den)
-from oracles import DictPoly, parse_laurent_poly
+from oracles import (DictPoly, over_common_den_pair, parse_laurent_poly,
+                     ratfunc_storage)
 
 U = VarUniverse(("a1", "a2", "y"))
 
@@ -833,6 +836,62 @@ def test_operations_leave_operands_unchanged(f, g, c):
         if a:
             a.inverse(), a ** -1
     assert (_storage(f), _storage(g)) == before
+
+
+# -- the common denominator of several values ---------------------------------
+
+@st.composite
+def ratfunc_lists(draw):
+    """1-4 values whose factors overlap: each is a drawn fraction times
+    powers of a shared pool of fractions."""
+    pool = draw(st.lists(ratfuncs(), max_size=3))
+    values = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        value = draw(ratfuncs())
+        for f in pool:
+            power = draw(st.integers(min_value=0, max_value=2))
+            if power and f:
+                value = value * f ** power
+        values.append(value)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfunc_lists())
+def test_over_common_den_lifts_each_value(values):
+    nums, recip = RatFunc.over_common_den(values)
+    assert recip.num == LaurentPoly.const(U, 1)
+    assert len(nums) == len(values)
+    for num, v in zip(nums, values):
+        assert num * recip == v
+    # each factor's power is the largest over the values
+    want = {}
+    for v in values:
+        for f, power in v._factors.items():
+            want[f] = max(want.get(f, 0), power)
+    assert recip._factors == want
+
+
+def test_over_common_den_keeps_the_pairwise_storage():
+    # +, - and == on the operands of the limit property cases store what
+    # the two-operand lift gave
+    rng = random.Random(1)
+    for _ in range(60):
+        f, g = limits.random_admissible(rng), limits.random_admissible(rng)
+        mult = limits._random_poly(rng, require_s0=True)
+        rescaled = RatFunc(f.num * mult, f.den * mult)
+        for a, b in ((f, g), (f, rescaled), (f + g, f * g), (g, f * g)):
+            left, right, merged = over_common_den_pair(a, b)
+            (lifted_a, lifted_b), recip = RatFunc.over_common_den((a, b))
+            assert ratfunc_storage(RatFunc(lifted_a)) \
+                == ratfunc_storage(RatFunc(left))
+            assert ratfunc_storage(RatFunc(lifted_b)) \
+                == ratfunc_storage(RatFunc(right))
+            assert list(recip._factors.items()) == list(merged.items())
+            for op in (operator.add, operator.sub):
+                want = RatFunc._make(op(left, right), merged)._reduced()
+                assert ratfunc_storage(op(a, b)) == ratfunc_storage(want)
+            assert (a == b) == (left == right)
 
 
 # -- exactness and overflow guards -------------------------------------------

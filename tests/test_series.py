@@ -1,11 +1,13 @@
 """Tests for truncated series, the generating-series checks, and residues."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confchern.classes import TorusData
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.series import (PoleOrderError, TruncSeries,
                               check_orbit_full_series, check_orbit_series,
@@ -14,6 +16,7 @@ from confchern.series import (PoleOrderError, TruncSeries,
                               orbit_full_series, orbit_series,
                               orbit_series_sides, residue_at,
                               residue_form_factor)
+from oracles import orbit_coefficient_expanded
 
 U = VarUniverse(("c", "y"))
 
@@ -166,6 +169,18 @@ def test_orbit_series_t1_n1():
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 2)])
 def test_orbit_series_small(n, N):
     assert check_orbit_series(n, N)
+
+
+@pytest.mark.parametrize("n,N", [(1, 3), (2, 3), (3, 3)])
+def test_orbit_series_matches_the_expanded_euler_class(n, N):
+    # the same value and the same expanded denominator as dividing each
+    # class by the expanded euler_point
+    got = orbit_series(n, N)
+    t = TorusData.standard(n, k=N)
+    for k in range(1, N + 1):
+        want = orbit_coefficient_expanded(t, k) * Fraction(1, math.factorial(k))
+        assert got.coeffs[k] == want
+        assert got.coeffs[k].den == want.den
 
 
 def test_orbit_series_caps():
