@@ -9,7 +9,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import RatFunc, UniverseMismatchError, VarUniverse
-from .partitions import SetPartition, partition_sum
 from .classes import (TorusData, euler_reciprocal, fixed_point_factor,
                       mc_orbit_conf, mc_orbit_full)
 
@@ -155,19 +154,29 @@ def _egf(universe: VarUniverse, n_order: int, coeff) -> TruncSeries:
         for k in range(1, n_order + 1)])
 
 
-def _partition_series(universe: VarUniverse, n_order: int,
-                      block_weight) -> TruncSeries:
-    """1 + sum_k (t^k/k!) sum_P a(P) prod_{B in P} w(B), with P running over
-    the set partitions of [k]."""
-    one = RatFunc.const(universe, 1)
-    return _egf(universe, n_order, lambda k: partition_sum(
-        SetPartition(k, [range(1, k + 1)]), block_weight, one))
+def _partition_series(universe: VarUniverse, n_order: int, x) -> TruncSeries:
+    """1 + sum_k (t^k/k!) S_k with S_k = sum_P a(P) prod_{B in P} x(|B|), P
+    running over the set partitions of [k], for a weight x of the block size.
+
+    S_k is summed by the block that holds the point k (the exponential
+    formula's proof, Stanley EC2 5.1): C(k-1, j-1) blocks of size j hold it,
+    each with a(B) = (-1)^(j-1) (j-1)!, and a is multiplicative over blocks,
+    so S_k = sum_j (-1)^(j-1) (k-1)!/(k-j)! x(j) S_{k-j} with S_0 = 1."""
+    xs = [None] + [x(j) for j in range(1, n_order + 1)]
+    sums = [RatFunc.const(universe, 1)]
+    for k in range(1, n_order + 1):
+        total = RatFunc.const(universe, 0)
+        for j in range(1, k + 1):
+            a_sum = (-1) ** (j - 1) * math.perm(k - 1, j - 1)
+            total = total + xs[j] * sums[k - j] * a_sum
+        sums.append(total)
+    return _egf(universe, n_order, sums.__getitem__)
 
 
 def _block_size_identity(universe: VarUniverse, n_order: int, x) -> bool:
     """The partition series with block weight x(|B|) against its exp-log
     form exp(sum_u (-1)^(u-1) x(u) t^u / u)."""
-    lhs = _partition_series(universe, n_order, lambda b: x(len(b)))
+    lhs = _partition_series(universe, n_order, x)
     arg = [RatFunc.const(universe, 0)] + [
         Fraction((-1) ** (u - 1), u) * x(u) for u in range(1, n_order + 1)]
     return lhs == TruncSeries(universe, n_order, arg).exp()
@@ -190,10 +199,12 @@ def check_partition_exp_identity(n_order: int) -> bool:
 def check_point_series(n_order: int) -> bool:
     """Point-restriction series with one free symbol for the localized
     subvariety class: 1 + sum_k (t^k/k!) sum_P a(P) m^|P| against
-    exp(m * log(1+t))."""
+    exp(m * log(1+t)).  The partition side is summed by the block that
+    holds the last point (`_partition_series`, weight x(u) = m); the exp
+    side sums powers of the logarithm, so the two are computed apart."""
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
-    lhs = _partition_series(universe, n_order, lambda b: m)
+    lhs = _partition_series(universe, n_order, lambda u: m)
     t = TruncSeries.t(universe, n_order)
     rhs = (TruncSeries.const(universe, n_order, m) * t.log1p()).exp()
     return lhs == rhs

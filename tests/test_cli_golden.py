@@ -3,9 +3,10 @@ sha256 of stdout for each command.
 
 The list covers every class subcommand at small n and k (every `conf-proj`
 fixed point with n <= 3 and k <= 3), text and json output, the cheap
-checks, `a-oracle` at its largest k, a few usage errors and one past each
-edge of every size range.  A change that alters any printed byte or exit
-code fails here.  To print the table for the current code, run
+checks, `a-oracle` at its largest k, the point-data series checks at
+their largest N, a few usage errors and one past each edge of every size
+range.  A change that alters any printed byte or exit code fails here.
+To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -182,6 +183,9 @@ GOLDEN = """\
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name szeregi --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 5
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s3-point --N 5
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name szeregi --N 7
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s1 --N 7
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s3-point --N 7
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 1 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 2 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 3 --N 3

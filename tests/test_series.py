@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from confchern.classes import TorusData
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
-from confchern.series import (PoleOrderError, TruncSeries,
+from confchern.partitions import coefficient_a, enumerate_partitions
+from confchern.series import (PoleOrderError, TruncSeries, _partition_series,
                               check_orbit_full_series, check_orbit_series,
                               check_partition_exp_identity, check_point_series,
                               check_point_series_ambient, check_residue_form,
@@ -146,12 +147,44 @@ def test_partition_series_order_cap(check):
         check(0)
 
 
+def _bell_definition(universe, k, x):
+    """sum over the set partitions P of [k] of a(P) prod_{B in P} x(|B|),
+    one partition at a time."""
+    total = RatFunc.const(universe, 0)
+    for p in enumerate_partitions(k):
+        term = RatFunc.const(universe, coefficient_a(p))
+        for block in p.blocks:
+            term = term * x(len(block))
+        total = total + term
+    return total
+
+
+FREE = VarUniverse(tuple("x%d" % u for u in range(1, 8)))
+POINT = VarUniverse(("m", "e"))
+# the block-size weights of `szeregi`, `s1` and `s3-point`
+SIZE_WEIGHTS = {
+    "free": (FREE, lambda u: RatFunc.var(FREE, "x%d" % u)),
+    "m": (POINT, lambda u: RatFunc.var(POINT, "m")),
+    "m_e": (POINT, lambda u: RatFunc.var(POINT, "m")
+            * RatFunc.var(POINT, "e") ** (u - 1)),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(SIZE_WEIGHTS))
+def test_partition_series_matches_the_bell_definition(weight):
+    universe, x = SIZE_WEIGHTS[weight]
+    series = _partition_series(universe, 7, x)
+    assert series.coeffs[0] == 1
+    for k in range(1, 8):
+        assert series.coeffs[k] == Fraction(1, math.factorial(k)) \
+            * _bell_definition(universe, k, x), k
+
+
 def test_point_series_t2_coefficient():
     # direct hand value of the t^2 coefficient: (m^2 - m e)/2
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
     e = RatFunc.var(universe, "e")
-    from confchern.partitions import coefficient_a, enumerate_partitions
     coeff = RatFunc.const(universe, 0)
     for p in enumerate_partitions(2):
         coeff = coeff + coefficient_a(p) * m ** len(p) * e ** (2 - len(p))
