@@ -1,7 +1,9 @@
 """Command-line driver: compute classes at fixed points and run the
 verification suites with deterministic, machine-readable output.
 
-Exit codes: 0 on success, 1 when a check fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a check fails, 2 on usage errors, 3 when
+the library raises on admitted input (a fault, reported without a
+traceback).
 """
 
 from __future__ import annotations
@@ -26,12 +28,20 @@ from .limits import (check_bb_stability, lambda_quotient_sweep,
 
 RECURSION_CAP = 256  # the recursion check visits n^k fixed points
 
+# the exception types the library raises; on admitted input one of them is a
+# fault of the library, not of the command line
+LIBRARY_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
+
+
+class UsageError(Exception):
+    """A command line that the CLI refuses before anything is built or run."""
+
 
 def _parse_list(option: str, text: str, convert) -> list:
     try:
         return [convert(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise ValueError("%s expects comma-separated values, got %r"
+        raise UsageError("%s expects comma-separated values, got %r"
                          % (option, text)) from None
 
 
@@ -73,10 +83,7 @@ def _check_a_oracle(args) -> bool:
 
 
 def _check_recursion(args) -> bool:
-    total = args.n ** args.k  # main has held n and k to their ranges
-    if total > RECURSION_CAP:
-        raise ValueError("check recursion takes n^k <= %d, got %d^%d"
-                         % (RECURSION_CAP, args.n, args.k))
+    total = args.n ** args.k  # _admit has held n^k to RECURSION_CAP
     t = TorusData.standard(args.n)
     bad = 0
     for tup in product(range(1, args.n + 1), repeat=args.k):
@@ -101,16 +108,15 @@ def _check_limits_props(args) -> bool:
 # (default, lowest, highest), with no bounds for one that is not a size.
 CHECKS = {
     "a-oracle": (dict(k=(5, 1, GRAPH_ORACLE_CAP)), _check_a_oracle),
-    "szeregi": (dict(N=(5, 1, 7)),
+    "szeregi": (dict(N=(5, 1, 18)),
                 lambda args: check_partition_exp_identity(args.N)),
-    "s1": (dict(N=(5, 1, 7)), lambda args: check_point_series(args.N)),
+    "s1": (dict(N=(5, 1, 18)), lambda args: check_point_series(args.N)),
     "s2": (dict(n=(2, 1, 3), N=(3, 1, 4)),
            lambda args: check_orbit_series(args.n, args.N)),
-    "s3-point": (dict(N=(5, 1, 7)),
+    "s3-point": (dict(N=(5, 1, 18)),
                  lambda args: check_point_series_ambient(args.N)),
     "residue": (dict(alphas=("2,3", None, None), N=(3, 1, 3)),
-                lambda args: check_residue_form(
-                    _parse_list("--alphas", args.alphas, Fraction), args.N)),
+                lambda args: check_residue_form(args.alphas, args.N)),
     "bb-stability": (dict(n=(3, 2, 4), k=(2, 1, 3)),
                      lambda args: check_bb_stability(args.n, args.k)),
     "recursion": (dict(n=(3, *CLASS_RANGES["n"]), k=(3, *CLASS_RANGES["k"])),
@@ -174,30 +180,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _admit(args):
     """Fill in the defaults of a check, then refuse a parameter that the
-    check does not read and any size outside its range, before anything is
-    built or run.  Raises ValueError with the usage error."""
+    check does not read, any size outside its range and a malformed
+    fixed point, residue pole list or recursion size, before anything is
+    built or run.  Parses --point into args.k and --alphas in place.
+    Raises UsageError."""
     if args.command == "check":
         command, params = "check " + args.name, CHECKS[args.name][0]
         for key in CHECK_PARAMS:
             if getattr(args, key) is None:
                 setattr(args, key, params[key][0] if key in params else None)
             elif key not in params:
-                raise ValueError("%s does not take --%s" % (command, key))
+                raise UsageError("%s does not take --%s" % (command, key))
         sizes = [("--" + key, getattr(args, key), lo, hi)
                  for key, (_, lo, hi) in params.items() if lo is not None]
     else:
         command = args.command
         if command == "conf-proj":
-            args.k = ProjFixedPoint(
-                tuple(_parse_list("--point", args.point, int)))
+            point = tuple(_parse_list("--point", args.point, int))
+            try:
+                args.k = ProjFixedPoint(point)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
             k = ("--point length", args.k.k)
         else:
             k = ("--k", args.k)
         sizes = [("--n", args.n) + CLASS_RANGES["n"], k + CLASS_RANGES["k"]]
     for option, value, lo, hi in sizes:
         if not lo <= value <= hi:
-            raise ValueError("%s takes %s in %d..%d, got %d"
+            raise UsageError("%s takes %s in %d..%d, got %d"
                              % (command, option, lo, hi, value))
+    if command == "conf-proj" and max(args.k.iota) > args.n:
+        raise UsageError("fixed point index out of range")
+    if command == "check residue":
+        args.alphas = _parse_list("--alphas", args.alphas, Fraction)
+        if (len(set(args.alphas)) != len(args.alphas)
+                or any(a in (0, 1) for a in args.alphas)):
+            raise UsageError("alphas must be distinct and differ from 0 and 1")
+    if command == "check recursion" and args.n ** args.k > RECURSION_CAP:
+        raise UsageError("check recursion takes n^k <= %d, got %d^%d"
+                         % (RECURSION_CAP, args.n, args.k))
 
 
 def main(argv=None) -> int:
@@ -210,10 +231,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _admit(args)
-        return (cmd_check if args.command == "check" else cmd_class)(args)
-    except (ValueError, KeyError) as exc:
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    try:
+        return (cmd_check if args.command == "check" else cmd_class)(args)
+    except LIBRARY_ERRORS as exc:
+        print("error: library fault, %s: %s"
+              % (type(exc).__name__, " ".join(str(exc).split())),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

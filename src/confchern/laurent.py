@@ -264,6 +264,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, universe: VarUniverse, c: Scalar) -> "LaurentPoly":
+        if type(c) is int:
+            return cls._make(universe, {0: c} if c else {})
         c = _as_fraction(c)
         if not c:
             return cls._make(universe, {})
@@ -682,6 +684,17 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
                       p._denom, bound)
 
 
+def _unit_inverse(m: LaurentPoly) -> LaurentPoly:
+    """X^-k / c for a one-term m = c X^k, read from its one key and
+    numerator: the numerator and denominator of a canonical single term
+    are coprime, so swapping them, with the sign moved to the new
+    numerator, leaves canonical storage.  The bound is max |e|."""
+    [(key, n)] = m._coeffs.items()
+    d = m._denom
+    return LaurentPoly._make(m.universe, {-key: d if n > 0 else -d}, abs(n),
+                             max(map(abs, m.universe._unpack(key)), default=0))
+
+
 def _normalize_den(den: LaurentPoly):
     """Split a nonzero denominator into a monomial to move into the
     numerator and a normalized factor (leading coefficient 1, minimum
@@ -691,6 +704,8 @@ def _normalize_den(den: LaurentPoly):
     constructor is its only caller.  Every other RatFunc operation only
     carries factors over from its operands, so every factor has this
     shape, and _exact_div relies on it."""
+    if len(den._coeffs) == 1:
+        return _unit_inverse(den), None
     u = den.universe
     low, high = u._box(den._coeffs)
     off = u._key(low)
@@ -698,12 +713,15 @@ def _normalize_den(den: LaurentPoly):
     c = Fraction(den._denom, den._coeffs[max(den._coeffs)])
     mono = LaurentPoly._make(u, {-off: c.numerator}, c.denominator,
                              max([0] + [abs(e) for e in low]))
-    if len(den._coeffs) == 1:
-        return mono, None
     den0 = LaurentPoly._make(u, {k - off: v for k, v in den._coeffs.items()},
                              den._denom,
                              _check_bound(max(h - l for l, h in zip(low, high))))
     return mono, den0 * c
+
+
+def _is_unit(rf: "RatFunc") -> bool:
+    """Whether rf is c X^k: one numerator term and no factors."""
+    return not rf._factors and len(rf.num._coeffs) == 1
 
 
 class RatFunc:
@@ -716,6 +734,13 @@ class RatFunc:
 
     The expanded denominator satisfies the canonical shift: its minimum
     exponent in every variable is zero.
+
+    The units of the Laurent ring skip the factor machinery.  A product
+    by a scalar, or by a monomial c X^e (one numerator term, no factors),
+    keeps the other operand's factors and tries no division, since a
+    factor divides m * num exactly when it divides num.  The inverse of
+    a monomial is X^-e / c, read from its one term; any other inverse is
+    the constructor with numerator and denominator swapped.
     """
 
     __slots__ = ("universe", "num", "_factors")
@@ -862,16 +887,22 @@ class RatFunc:
         return other - self
 
     def __mul__(self, other):
+        # a product by a unit of the Laurent ring (a scalar, or a one-term
+        # numerator without factors) keeps the other operand's factors and
+        # tries no division, as negation does: a factor divides m * num
+        # exactly when it divides num.  A scalar is never lifted to a
+        # RatFunc constant.
         if not isinstance(other, RatFunc):
             if isinstance(other, (int, Fraction)):
-                # a scalar scales the numerator and keeps the factors, as
-                # negation does: a factor divides c * num exactly when it
-                # divides num.  It is never lifted to a RatFunc constant.
                 return RatFunc._make(self.num * other, self._factors)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         _check_same(self, other)
+        if _is_unit(other):
+            return RatFunc._make(self.num * other.num, self._factors)
+        if _is_unit(self):
+            return RatFunc._make(self.num * other.num, other._factors)
         merged = dict(self._factors)
         for f, power in other._factors.items():
             merged[f] = merged.get(f, 0) + power
@@ -899,6 +930,8 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDenominatorError("division by zero rational function")
+        if _is_unit(self):
+            return RatFunc._make(_unit_inverse(self.num), {})
         return RatFunc(self.den, self.num)
 
     def __pow__(self, k: int):

@@ -93,7 +93,7 @@ RANGES = [
     ("orbit-full", "n", 1, 6), ("orbit-full", "k", 1, 7),
     ("conf-proj", "n", 1, 6), ("conf-proj", "point", 1, 7),
     ("a-oracle", "k", 1, 6),
-    ("szeregi", "N", 1, 7), ("s1", "N", 1, 7), ("s3-point", "N", 1, 7),
+    ("szeregi", "N", 1, 18), ("s1", "N", 1, 18), ("s3-point", "N", 1, 18),
     ("s2", "n", 1, 3), ("s2", "N", 1, 4),
     ("residue", "N", 1, 3),
     ("bb-stability", "n", 2, 4), ("bb-stability", "k", 1, 3),
@@ -201,8 +201,8 @@ def test_check_recursion_rejects_broken_product(capsys, monkeypatch):
     ["check", "--name", "residue", "--alphas", "1/0"],
     ["conf-affine", "--n", "-1", "--k", "2"],
     ["conf-proj", "--n", "2", "--point", ""],
-    ["check", "--name", "s1", "--N", "8"],
-    ["check", "--name", "s3-point", "--N", "8"],
+    ["check", "--name", "s1", "--N", "19"],
+    ["check", "--name", "s3-point", "--N", "19"],
     ["orbit", "--n", "2", "--k", "0"],
     ["check", "--name", "recursion", "--k", "0"],
     ["check", "--name", "recursion", "--n", "5", "--k", "4"],
@@ -240,6 +240,51 @@ def test_usage_error_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["check", "--name", "residue", "--alphas", "2,2"],
+     "error: alphas must be distinct and differ from 0 and 1\n"),
+    (["check", "--name", "residue", "--alphas=-2,1"],
+     "error: alphas must be distinct and differ from 0 and 1\n"),
+    (["check", "--name", "recursion", "--n", "3", "--k", "6"],
+     "error: check recursion takes n^k <= 256, got 3^6\n"),
+    (["conf-proj", "--n", "2", "--point", "1,3"],
+     "error: fixed point index out of range\n"),
+    (["conf-proj", "--n", "2", "--point", "0,1"],
+     "error: a fixed point is a nonempty tuple of 1-based indices\n"),
+], ids=["residue-repeated-pole", "residue-pole-at-1", "recursion-cap",
+        "point-index", "point-zero"])
+def test_domain_refusals_precede_the_run(argv, err, capsys, monkeypatch):
+    # _admit refuses these before any builder or runner is called
+    def stub(*args):
+        raise AssertionError("reached the library")
+
+    for name, (text, _) in cli.CLASSES.items():
+        monkeypatch.setitem(cli.CLASSES, name, (text, stub))
+    for name, (params, _) in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, (params, stub))
+    assert run(argv, capsys) == (2, "", err)
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad\nvalue"), KeyError("x0"),
+                                 ZeroDivisionError("pole")],
+                         ids=["ValueError", "KeyError", "ZeroDivisionError"])
+@pytest.mark.parametrize("argv", [["orbit", "--n", "2", "--k", "2"],
+                                  ["check", "--name", "szeregi", "--N", "3"]],
+                         ids=["class", "check"])
+def test_library_fault_exit_3(argv, exc, capsys, monkeypatch):
+    # a library exception on admitted input is a fault: exit 3 and one
+    # error line, not the usage code 2 and not a traceback
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "mc_orbit_conf", broken)
+    monkeypatch.setattr(cli, "check_partition_exp_identity", broken)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: library fault, %s: " % type(exc).__name__)
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_unused_check_parameter_is_named(capsys):

@@ -204,20 +204,12 @@ _scaled_ratfuncs = pytest.mark.parametrize("f", [
 @_scaled_ratfuncs
 @pytest.mark.parametrize("c", [0, 1, 3, -2, Fraction(-5, 2)])
 def test_scalar_product_storage_is_the_constant_product(f, c):
+    # a nonzero constant is a unit, so the constant product keeps even an
+    # unreduced f's factors, as -f does
     want = f * RatFunc.const(U, c)
     for got in (f * c, c * f):
         assert got == want
-        assert _storage(got) == _scalar_storage(f, c, want)
-
-
-def _scalar_storage(f, c, constant_product):
-    """The storage of f * c: that of the constant product, except that an
-    unreduced f keeps its factors, as -f does, where the constant product
-    cancels them."""
-    if f is not _UNREDUCED or not c:
-        return _storage(constant_product)
-    num = f.num * c
-    return (list(num._coeffs.items()), num._denom, _storage(f)[2])
+        assert _storage(got) == _storage(want)
 
 
 @_scaled_ratfuncs
@@ -229,7 +221,7 @@ def test_negation_is_the_product_by_minus_one(f):
 @pytest.mark.parametrize("c", [1, 3, -2, Fraction(-5, 2), Fraction(2, 7)])
 def test_scalar_quotient_storage_is_the_inverse_product(f, c, monkeypatch):
     want = f * RatFunc.const(U, c).inverse()
-    storage = _scalar_storage(f, Fraction(1, c), want)
+    storage = _storage(want)
     inverses = []
     real = RatFunc.inverse
     monkeypatch.setattr(RatFunc, "inverse",
@@ -246,6 +238,96 @@ def test_scalar_quotient_by_zero_raises(zero):
         rf("a1") / zero
     with pytest.raises(ZeroDenominatorError):
         RatFunc.const(U, 0) / zero
+
+
+# -- units: the one-term values without factors --------------------------------
+
+def _random_units(seed, count=60):
+    """Seeded one-term values c X^e: c a nonzero int or Fraction of either
+    sign, e with negative entries, a constant one time in five."""
+    rng = random.Random("units:%d" % seed)
+    for _ in range(count):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                     rng.choice([1, 1, 2, 3, 10]))
+        if c.denominator == 1 and rng.random() < 0.5:
+            c = int(c)
+        e = ((0,) * len(U) if rng.random() < 0.2
+             else tuple(rng.randint(-4, 4) for _ in U))
+        yield RatFunc(LaurentPoly(U, {e: c}))
+
+
+def _random_poly(rng, terms):
+    return LaurentPoly(U, {tuple(rng.randint(-2, 2) for _ in U):
+                           Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(terms)})
+
+
+def _random_factored(seed, count=8):
+    """Seeded values with denominator factors, the unreduced one too."""
+    rng = random.Random("factored:%d" % seed)
+    values = [_UNREDUCED]
+    while len(values) < count:
+        num, den = _random_poly(rng, 3), _random_poly(rng, 2)
+        if len(den._coeffs) == 2:
+            value = RatFunc(num, den) * RatFunc(1 + lp("y"),
+                                                lp("a1") - lp("a2"))
+            if value._factors:
+                values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_inverse_stores_what_the_constructor_builds(seed):
+    for m in _random_units(seed):
+        [(exps, c)] = m.num.terms.items()
+        # X^-e / c through the general LaurentPoly constructor
+        want = RatFunc(LaurentPoly(U, {tuple(-e for e in exps): 1 / c}))
+        got = m.inverse()
+        assert ratfunc_storage(got) \
+            == ratfunc_storage(RatFunc(LaurentPoly.const(U, 1), m.num)) \
+            == ratfunc_storage(want)
+        assert got * m == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_product_keeps_the_other_factors(seed):
+    xs = _random_factored(seed)
+    for m in _random_units(seed, count=20):
+        for x in xs:
+            for got in (x * m, m * x):
+                # cross-multiplied against x's and m's own storage
+                assert got.num * x.den == x.num * m.num * got.den
+                assert list(got._factors.items()) == list(x._factors.items())
+    # zero is no unit, and a zero product has no factors
+    zero = RatFunc.const(U, 0)
+    for x in xs:
+        for got in (x * zero, zero * x):
+            assert got.is_zero() and got._factors == {}
+
+
+def test_unit_paths_box_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("general path")
+
+    xs = _random_factored(0)
+    units = list(_random_units(0, count=20))
+    monkeypatch.setattr(VarUniverse, "_box", refuse)
+    monkeypatch.setattr(laurent, "_exact_div", refuse)
+    for m in units:
+        m.inverse()
+        RatFunc(lp("a1") + 1, m.num)
+        for x in xs:
+            x * m
+            m * x
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 3, -12, 2 ** 70, -(2 ** 70)])
+def test_int_constant_stores_what_the_fraction_constant_stores(n):
+    got, want = LaurentPoly.const(U, n), LaurentPoly.const(U, Fraction(n))
+    assert (list(got._coeffs.items()), got._denom, got._bound) \
+        == (list(want._coeffs.items()), want._denom, want._bound)
+    assert all(type(c) is int for c in got._coeffs.values())
+    assert type(got._denom) is int
 
 
 # -- substitution ------------------------------------------------------------
