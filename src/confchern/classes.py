@@ -87,18 +87,6 @@ class ProjFixedPoint:
         return SetPartition(self.k, groups.values())
 
 
-class LocalClassData:
-    """Point restriction of the class of an embedded (possibly singular)
-    subvariety, together with the ambient Euler class at that point."""
-
-    __slots__ = ("mcB", "euTM")
-
-    def __init__(self, mcB: RatFunc, euTM: RatFunc):
-        if euTM.is_zero():
-            raise ValueError("ambient Euler class must be nonzero")
-        self.mcB, self.euTM = mcB, euTM
-
-
 def mc_line_classes(universe: VarUniverse, alpha_var: str):
     """Classes of the origin, the line, and the punctured line in a
     one-dimensional weight-`alpha_var` representation.
@@ -160,16 +148,20 @@ def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
     return acc
 
 
-def mc_conf_generic(data: LocalClassData, k: int) -> RatFunc:
-    """Configuration-space class from point data:
+def mc_conf_generic(mcB: RatFunc, euTM: RatFunc, k: int) -> RatFunc:
+    """Configuration-space class from point data, the point restriction
+    mcB of the class of an embedded (possibly singular) subvariety and the
+    ambient Euler class euTM at that point:
     sum over partitions of a(P) * mcB^|P| * euTM^(k - |P|)
     = prod_{m<k} (mcB - m euTM), by exp(x log(1+t)) = (1+t)^x."""
+    if euTM.is_zero():
+        raise ValueError("ambient Euler class must be nonzero")
     # k = 0 would be read as the empty product
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
-    acc = data.mcB
+    acc = mcB
     for m in range(1, k):
-        acc = acc * (data.mcB - m * data.euTM)
+        acc = acc * (mcB - m * euTM)
     return acc
 
 
@@ -180,7 +172,7 @@ def mc_conf_affine(t: TorusData, k: int) -> RatFunc:
     mcB = t.one()
     for j in range(1, t.n + 1):
         mcB = mcB * (1 + t.y / t.a(j))
-    return mc_conf_generic(LocalClassData(mcB, euler_point(t)), k)
+    return mc_conf_generic(mcB, euler_point(t), k)
 
 
 def mc_conf_proj_refinement_sum(t: TorusData, e: ProjFixedPoint) -> RatFunc:
@@ -208,7 +200,7 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     acc = t.one()
     for block in e.induced_partition().blocks:
         lam_y, lam_m1 = lambda_y_proj(t, e.iota[block[0] - 1])
-        acc = acc * mc_conf_generic(LocalClassData(lam_y, lam_m1), len(block))
+        acc = acc * mc_conf_generic(lam_y, lam_m1, len(block))
     return acc
 
 
@@ -267,7 +259,11 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     """Localized class of the space of k vectors with pairwise distinct
     spanned lines where vectors are allowed to vanish: the strictly nonzero
     part plus k copies of the one-fewer-vector part, each over the Euler
-    class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1)."""
+    class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1).
+
+    Right only at unit scaling weights b_a = 1: the stratum where the a-th
+    vector vanishes belongs at the weights of the other points, and each of
+    the k copies takes those of the first k - 1."""
     conf = mc_orbit_conf(t, k)
     # the weights of point a are the a-th run of n, so the reciprocal for
     # k - 1 points has the first (k - 1) n of the factors of that for k

@@ -30,7 +30,8 @@ RECURSION_CAP = 256  # the recursion check visits n^k fixed points
 
 # the exception types the library raises; on admitted input one of them is a
 # fault of the library, not of the command line
-LIBRARY_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
+LIBRARY_ERRORS = (ArithmeticError, LookupError, MemoryError, TypeError,
+                  ValueError)
 
 
 class UsageError(Exception):
@@ -45,10 +46,14 @@ def _parse_list(option: str, text: str, convert) -> list:
                          % (option, text)) from None
 
 
-# The size ranges of all commands live in CLASS_RANGES and CHECKS, and main
-# holds each parameter to its range before anything is built or run; the
-# library checks only its domain.  The class commands share one range.
+# The size ranges of all commands live in CLASS_RANGES, ORBIT_K_MAX and
+# CHECKS, and main holds each parameter to its range before anything is
+# built or run; the library checks only its domain.  The class commands
+# share one range, and the orbit classes take at most ORBIT_K_MAX[n] points:
+# the largest k at each n that builds within 30 s and 1 GB (README), where
+# the next k ran out of time or memory.
 CLASS_RANGES = dict(n=(1, 6), k=(1, 7))
+ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
 
 # class command -> (help, builder); a builder maps (n, k) to the class, where
 # the k of conf-proj is the fixed point that main parses from --point, so
@@ -152,6 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "conf-proj":
             p.add_argument("--point", type=str, required=True, help=k_range
                            + " comma-separated axis indices, e.g. 1,1,2")
+        elif name.startswith("orbit"):
+            p.add_argument("--k", type=int, required=True, help=k_range
+                           + "; at most " + ", ".join(
+                               "%d at n = %d" % (k, n)
+                               for n, k in ORBIT_K_MAX.items()
+                               if k < CLASS_RANGES["k"][1]))
         else:
             p.add_argument("--k", type=int, required=True, help=k_range)
         common(p)
@@ -204,7 +215,11 @@ def _admit(args):
             k = ("--point length", args.k.k)
         else:
             k = ("--k", args.k)
-        sizes = [("--n", args.n) + CLASS_RANGES["n"], k + CLASS_RANGES["k"]]
+        lo, hi = CLASS_RANGES["k"]
+        if command.startswith("orbit"):
+            # an n out of range is refused first, so any k bound will do
+            hi = ORBIT_K_MAX.get(args.n, hi)
+        sizes = [("--n", args.n) + CLASS_RANGES["n"], k + (lo, hi)]
     for option, value, lo, hi in sizes:
         if not lo <= value <= hi:
             raise UsageError("%s takes %s in %d..%d, got %d"

@@ -409,16 +409,6 @@ class LaurentPoly:
         return min(self.universe._digits(self._coeffs,
                                          self.universe.index(name)))
 
-    def shift(self, exps: Mapping[str, int]) -> "LaurentPoly":
-        """Multiply by the monomial with the given exponents."""
-        u = self.universe
-        vec = u._vector(exps)
-        off = u._pack(vec)
-        bound = _check_bound(self._bound + max(map(abs, vec), default=0))
-        return LaurentPoly._make(u, {k + off: c
-                                     for k, c in self._coeffs.items()},
-                                 self._denom, bound)
-
     def coeff_of(self, name: str, power: int) -> "LaurentPoly":
         """Collect terms with the given exponent of `name`, with that
         exponent zeroed out in the result."""

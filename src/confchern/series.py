@@ -8,7 +8,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import RatFunc, UniverseMismatchError, VarUniverse
+from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
+                      VarUniverse)
 from .classes import (TorusData, euler_reciprocal, fixed_point_factor,
                       mc_orbit_conf, mc_orbit_full)
 
@@ -64,19 +65,6 @@ class TruncSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncSeries(self.universe, self.order,
-                           [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and other:
             # a nonzero scalar scales each coefficient and is never lifted
@@ -127,17 +115,6 @@ class TruncSeries:
             power = power * self
             result = result + Fraction((-1) ** (m - 1), m) * power
         return result
-
-    def __str__(self) -> str:
-        parts = []
-        for u, c in enumerate(self.coeffs):
-            if u == 0:
-                parts.append("%s" % c)
-            elif u == 1:
-                parts.append("(%s)*t" % c)
-            else:
-                parts.append("(%s)*t^%d" % (c, u))
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +176,10 @@ def check_partition_exp_identity(n_order: int) -> bool:
 def check_point_series(n_order: int) -> bool:
     """Point-restriction series with one free symbol for the localized
     subvariety class: 1 + sum_k (t^k/k!) sum_P a(P) m^|P| against
-    exp(m * log(1+t)).  The partition side is summed by the block that
-    holds the last point (`_partition_series`, weight x(u) = m); the exp
-    side sums powers of the logarithm, so the two are computed apart."""
+    exp(m * log(1+t)): the block-size identity at the weight x(u) = m."""
     universe = VarUniverse(("m", "e"))
     m = RatFunc.var(universe, "m")
-    lhs = _partition_series(universe, n_order, lambda u: m)
-    t = TruncSeries.t(universe, n_order)
-    rhs = (TruncSeries.const(universe, n_order, m) * t.log1p()).exp()
-    return lhs == rhs
+    return _block_size_identity(universe, n_order, lambda u: m)
 
 
 def check_point_series_ambient(n_order: int) -> bool:
@@ -232,19 +204,26 @@ def orbit_series(n: int, n_order: int) -> TruncSeries:
         t_data, k).substitute(ones) * recip ** k)
 
 
+def _orbit_closed_form(n: int, n_order: int) -> TruncSeries:
+    """The closed form of the orbit series, prod_i (1 + c_i t)^(L_i) with
+    c_i = (1+y)/(a_i - 1) and L_i the `fixed_point_factor` at i, as one
+    exp of the summed logarithms: exp(sum_i L_i log(1 + c_i t))."""
+    t_data = TorusData.standard(n, k=n_order)
+    universe = t_data.universe
+    t = TruncSeries.t(universe, n_order)
+    one_plus_y = 1 + t_data.y
+    log = TruncSeries.const(universe, n_order, 0)
+    for i in range(1, n + 1):
+        c_t = (one_plus_y / (t_data.a(i) - 1)) * t
+        log = log + fixed_point_factor(t_data, i) * c_t.log1p()
+    return log.exp()
+
+
 def orbit_series_sides(n: int, n_order: int):
     """Both sides of the orbit-configuration generating series: the class
-    series `orbit_series` and the product over fixed points of exp-log
-    factors, as truncated series over the weight universe."""
-    lhs = orbit_series(n, n_order)
-    t_data = TorusData.standard(n, k=n_order)
-    universe = lhs.universe
-    rhs = TruncSeries.const(universe, n_order, 1)
-    one_plus_y = 1 + t_data.y
-    for i in range(1, n + 1):
-        arg = (one_plus_y / (t_data.a(i) - 1)) * TruncSeries.t(universe, n_order)
-        rhs = rhs * (fixed_point_factor(t_data, i) * arg.log1p()).exp()
-    return lhs, rhs
+    series `orbit_series` and its closed form, as truncated series over
+    the weight universe."""
+    return orbit_series(n, n_order), _orbit_closed_form(n, n_order)
 
 
 def check_orbit_series(n: int, n_order: int) -> bool:
@@ -263,18 +242,18 @@ def orbit_full_series(n: int, n_order: int) -> TruncSeries:
 
 def check_orbit_full_series(n: int, n_order: int) -> bool:
     """Vanishing-allowed variant: its series must equal (1 + t) * f(t)
-    where f is the orbit series.
+    where f is the closed form of the orbit series.
 
     The extra term k * m_{k-1} in the k-th coefficient sums to t*f(t), not
     t*f'(t): t*f'(t) would require k * m_k instead.  (Checked by hand at
     n=1: the k=1 coefficient of the full space is m_1 + 1, which only the
-    (1+t)*f form reproduces.)
+    (1+t)*f form reproduces.)  f is the closed form, not the series of the
+    orbit classes that the vanishing-allowed classes are built from, so a
+    wrong orbit class fails here.
     """
     lhs = orbit_full_series(n, n_order)
-    f = orbit_series(n, n_order)
-    one_plus_t = TruncSeries.const(f.universe, n_order, 1) \
-        + TruncSeries.t(f.universe, n_order)
-    return lhs == one_plus_t * f
+    f = _orbit_closed_form(n, n_order)
+    return lhs == (1 + TruncSeries.t(f.universe, n_order)) * f
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +276,11 @@ def residue_at(f: RatFunc, var: str, pole: Fraction) -> RatFunc:
     var + pole), and the residue is read off the quotient of the two
     translated polynomials by solving a triangular system.
     """
-    # var^s * f.num and var^s * f.den are genuine polynomials in var
-    s = max(0, -f.num.min_exp(var))
-    num = f.num.shift({var: s}).translate(var, pole)
-    den = f.den.shift({var: s}).translate(var, pole)
+    # with x_s = var^s, x_s * f.num and x_s * f.den are genuine
+    # polynomials in var
+    x_s = LaurentPoly.var(f.universe, var, max(0, -f.num.min_exp(var)))
+    num = (f.num * x_s).translate(var, pole)
+    den = (f.den * x_s).translate(var, pole)
     zero = RatFunc.const(f.universe, 0)
     if num.is_zero():
         return zero

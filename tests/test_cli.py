@@ -149,6 +149,35 @@ def test_range_edges(command, option, lo, hi, capsys, monkeypatch):
             % (where, label, lo, hi, value)
 
 
+# The largest k of the orbit classes at each n, where it is below the
+# shared range's 7, written out like RANGES.
+ORBIT_K_EDGES = [(3, 5), (4, 4), (5, 3), (6, 2)]
+
+
+@pytest.mark.parametrize("command", ["orbit", "orbit-full"])
+def test_orbit_k_range_by_n(command, capsys, monkeypatch):
+    # the largest k at each n reaches the builder, one more is refused
+    # before it runs, and --help names each of these edges
+    def stub(*args):
+        raise Reached(*args)
+
+    monkeypatch.setitem(cli.CLASSES, command, ("", stub))
+    for n, k in ORBIT_K_EDGES:
+        argv = [command, "--n", str(n), "--k", str(k)]
+        with pytest.raises(Reached) as exc:
+            cli.main(argv)
+        assert exc.value.args == (n, k)
+        argv[-1] = str(k + 1)
+        assert run(argv, capsys) == (
+            2, "", "error: %s takes --k in 1..%d, got %d\n"
+            % (command, k, k + 1))
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--k K 1..7; at most " + ", ".join(
+        "%d at n = %d" % (k, n) for n, k in ORBIT_K_EDGES) in text
+
+
 @pytest.mark.parametrize("argv,err", [
     (["check", "--name", "a-oracle", "--k", "0"],
      "error: check a-oracle takes --k in 1..6, got 0\n"),
@@ -268,8 +297,9 @@ def test_domain_refusals_precede_the_run(argv, err, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad\nvalue"), KeyError("x0"),
-                                 ZeroDivisionError("pole")],
-                         ids=["ValueError", "KeyError", "ZeroDivisionError"])
+                                 ZeroDivisionError("pole"), MemoryError()],
+                         ids=["ValueError", "KeyError", "ZeroDivisionError",
+                              "MemoryError"])
 @pytest.mark.parametrize("argv", [["orbit", "--n", "2", "--k", "2"],
                                   ["check", "--name", "szeregi", "--N", "3"]],
                          ids=["class", "check"])

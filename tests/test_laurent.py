@@ -600,7 +600,7 @@ def test_exact_div_none_iff_sympy_remainder(p, q, f, multiple):
 def _nonneg_in(name):
     """p -> p shifted so that `name` has no negative power."""
     def shift(p):
-        return p.shift({name: max(0, -p.min_exp(name))})
+        return p * LaurentPoly.var(U, name, max(0, -p.min_exp(name)))
     return shift
 
 
@@ -660,7 +660,8 @@ def test_pow_matches_oracle(p, k):
        st.sampled_from(range(len(U))), _exp)
 def test_structure_queries_match_oracle(p, vec, i, power):
     dp, name = DictPoly.of(p), U.names[i]
-    assert DictPoly.of(p.shift(vec)) == dp.shift([vec[v] for v in U.names])
+    assert DictPoly.of(p * LaurentPoly.monomial(U, vec)) \
+        == dp.shift([vec[v] for v in U.names])
     assert p.min_exp(name) == dp.min_exp(i)
     assert DictPoly.of(p.coeff_of(name, power)) == dp.coeff_of(i, power)
 
