@@ -215,12 +215,12 @@ def psi(universe: VarUniverse, i: int, j: int, theta: RatFunc) -> RatFunc:
     return 1 - 1 / theta
 
 
-def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
-    """Class of the space of k pairwise linearly independent nonzero vectors
-    in C^n, with per-point scaling weights b_1..b_k: the partition sum over
-    set partitions P of [k] of a(P) * prod_{B in P} w(B), where
-    w(B) = sum_i L_i * prod_{a in B} prod_j psi(i, j, b_a a_j) and L_i is
-    the `fixed_point_factor` at i."""
+def _orbit_block_weights(t: TorusData, k: int):
+    """The block weight w(B) = sum_i L_i * prod_{a in B} prod_j
+    psi(i, j, b_a a_j) of the orbit classes, for the blocks B of [k], where
+    L_i is the `fixed_point_factor` at i.  Each block's weight is built
+    once for the life of the returned function, so the sums over [k] and
+    over [k - 1] share it."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
     if len(t.beta) < k:
@@ -243,16 +243,35 @@ def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
                 acc = acc * psi(t.universe, i, j, t.b(a) * t.a(j))
             row[a] = acc
         psis.append(row)
+    built = {}
 
     def weight(block):
-        acc = RatFunc.const(t.universe, 0)
-        for prod, row in zip(lifted, psis):
-            for a in block:
-                prod = prod * row[a]
-            acc = acc + prod
-        return acc * recip
+        w = built.get(block)
+        if w is None:
+            acc = RatFunc.const(t.universe, 0)
+            for prod, row in zip(lifted, psis):
+                for a in block:
+                    prod = prod * row[a]
+                acc = acc + prod
+            w = built[block] = acc * recip
+        return w
 
+    return weight
+
+
+def _orbit_sum(t: TorusData, k: int, weight) -> RatFunc:
+    """The partition sum over set partitions P of [k] of
+    a(P) * prod_{B in P} w(B)."""
     return partition_sum(SetPartition(k, [range(1, k + 1)]), weight, t.one())
+
+
+def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
+    """Class of the space of k pairwise linearly independent nonzero vectors
+    in C^n, with per-point scaling weights b_1..b_k: the partition sum over
+    set partitions P of [k] of a(P) * prod_{B in P} w(B), where
+    w(B) = sum_i L_i * prod_{a in B} prod_j psi(i, j, b_a a_j) and L_i is
+    the `fixed_point_factor` at i."""
+    return _orbit_sum(t, k, _orbit_block_weights(t, k))
 
 
 def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
@@ -261,19 +280,28 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     part plus k copies of the one-fewer-vector part, each over the Euler
     class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1).
 
+    Both parts are the partition sums of `mc_orbit_conf`, over [k] and
+    over [k - 1], and they share one table of block weights: every block
+    of [k - 1] is a block of [k].  The reciprocal Euler class for k points
+    is built once, and the one for k - 1 points is its prefix.
+
     Right only at unit scaling weights b_a = 1: the stratum where the a-th
     vector vanishes belongs at the weights of the other points, and each of
     the k copies takes those of the first k - 1."""
-    conf = mc_orbit_conf(t, k)
+    block_weight = _orbit_block_weights(t, k)
     # the weights of point a are the a-th run of n, so the reciprocal for
-    # k - 1 points has the first (k - 1) n of the factors of that for k
+    # k points goes on from that for the first k - 1
     weights = [t.b(a) * t.a(j) for a in range(1, k + 1)
                for j in range(1, t.n + 1)]
-    main = conf * euler_reciprocal(t, weights)
+    prev_recip = euler_reciprocal(t, weights[:-t.n])
+    recip = prev_recip
+    for w in weights[-t.n:]:
+        recip = recip * (w / (w - 1))
+    main = _orbit_sum(t, k, block_weight) * recip
     if k == 1:
         prev = t.one()
     else:
-        prev = mc_orbit_conf(t, k - 1) * euler_reciprocal(t, weights[:-t.n])
+        prev = _orbit_sum(t, k - 1, block_weight) * prev_recip
     return main + k * prev
 
 

@@ -202,7 +202,7 @@ def _admit(args):
                 setattr(args, key, params[key][0] if key in params else None)
             elif key not in params:
                 raise UsageError("%s does not take --%s" % (command, key))
-        sizes = [("--" + key, getattr(args, key), lo, hi)
+        sizes = [("--" + key, getattr(args, key), lo, hi, "")
                  for key, (_, lo, hi) in params.items() if lo is not None]
     else:
         command = args.command
@@ -216,14 +216,17 @@ def _admit(args):
         else:
             k = ("--k", args.k)
         lo, hi = CLASS_RANGES["k"]
-        if command.startswith("orbit"):
-            # an n out of range is refused first, so any k bound will do
-            hi = ORBIT_K_MAX.get(args.n, hi)
-        sizes = [("--n", args.n) + CLASS_RANGES["n"], k + (lo, hi)]
-    for option, value, lo, hi in sizes:
+        where = ""
+        # an n out of range is refused first, so any k bound will do
+        if command.startswith("orbit") and ORBIT_K_MAX.get(args.n, hi) < hi:
+            hi, where = ORBIT_K_MAX[args.n], " at --n %d" % args.n
+        sizes = [("--n", args.n) + CLASS_RANGES["n"] + ("",),
+                 k + (lo, hi, where)]
+    # `where` names the parameter that set a range, if another one did
+    for option, value, lo, hi, where in sizes:
         if not lo <= value <= hi:
-            raise UsageError("%s takes %s in %d..%d, got %d"
-                             % (command, option, lo, hi, value))
+            raise UsageError("%s takes %s in %d..%d%s, got %d"
+                             % (command, option, lo, hi, where, value))
     if command == "conf-proj" and max(args.k.iota) > args.n:
         raise UsageError("fixed point index out of range")
     if command == "check residue":
@@ -252,8 +255,10 @@ def main(argv=None) -> int:
     try:
         return (cmd_check if args.command == "check" else cmd_class)(args)
     except LIBRARY_ERRORS as exc:
-        print("error: library fault, %s: %s"
-              % (type(exc).__name__, " ".join(str(exc).split())),
+        # an exception may carry no text, as a MemoryError does
+        text = " ".join(str(exc).split()) or (
+            "out of memory" if isinstance(exc, MemoryError) else "no message")
+        print("error: library fault, %s: %s" % (type(exc).__name__, text),
               file=sys.stderr)
         return 3
 

@@ -541,39 +541,6 @@ def _monomial_image(name: str, value, universe: VarUniverse):
                      % (name, value))
 
 
-def _binomial_misses(p: LaurentPoly, f: LaurentPoly) -> bool:
-    """Whether a binomial f = c_u X^u + c_v X^v certainly does not divide
-    p, decided by one substitution pass; False when the test does not
-    apply (see _exact_div)."""
-    u = p.universe
-    (ku, cu), (kv, cv) = f._coeffs.items()
-    w = [a - b for a, b in zip(u._unpack(ku), u._unpack(kv))]
-    if 1 in w:
-        i = w.index(1)
-    elif -1 in w:
-        i = w.index(-1)
-        ku, cu, kv, cv = kv, cv, ku, cu
-    else:
-        return False
-    # the substituted exponents are within _bound * (1 + max |w_j|)
-    if p._bound * (1 + max(map(abs, w))) > EXP_LIMIT:
-        return False
-    # x_i = gamma X^m with gamma = a/b, a = -cv, b = cu, m = e_i - w moves
-    # c X^k with k_i = e to c gamma^e X^(k - e w); every term is scaled
-    # by a^-lo b^hi to keep the sums in integers
-    move = kv - ku
-    a, b = -cv, cu
-    digits = u._digits(p._coeffs, i)
-    lo, hi = min(digits), max(digits)
-    scale = {e: a ** (e - lo) * b ** (hi - e) for e in set(digits)}
-    acc: dict = {}
-    get = acc.get
-    for (k, c), e in zip(p._coeffs.items(), digits):
-        key = k + e * move
-        acc[key] = get(key, 0) + c * scale[e]
-    return any(acc.values())
-
-
 def _exact_div(p: LaurentPoly, f: LaurentPoly):
     """Quotient p/f if f divides p exactly (up to monomials), else None.
 
@@ -584,27 +551,99 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     divided over Z by f's own, exactly whenever the division over Q is
     (Gauss's lemma).
 
-    A binomial f = c_u X^u + c_v X^v with an entry w_i = +-1 of w = u - v
-    is first tested by substitution.  Up to a unit, such an f is
-    x_i - gamma X^m with gamma = -c_v/c_u (for w_i = 1; swap u and v for
-    -1) and m_i = 0: degree 1 in x_i with a monomial constant term.  Over
-    the ring of Laurent polynomials in the other variables, a power of x_i
-    times p divided by it leaves the remainder p(x_i = gamma X^m) times a
-    unit, so f divides p exactly when that substitution is zero.  One pass
-    over p's keys adds e * (v - u) to a key of x_i-degree e and scales its
-    numerator by a power of gamma's numerator and denominator; a nonzero
-    sum is a miss, returned before anything else runs.  When the
-    substituted exponents could leave the packed digit range (p's bound
-    times 1 + max |w_j| beyond EXP_LIMIT), a carry could merge distinct
-    terms into a false zero, so the pass is skipped and long division
-    decides.  (A carry cannot turn a hit into a miss: merged sums of zero
-    sums are zero.)
+    A binomial f with an entry +-1 in the difference of its two exponents
+    is divided in one synthetic pass (_chain_div) whenever its chain keys
+    stay inside the packed digit range; every other factor goes to long
+    division (_heap_div).  Both store a quotient the same way: keys in
+    descending order, numerators over p's denominator with their common
+    factor divided out, and as bound the largest |exponent| of the box
+    [low(p), high(p) - high(f)] that holds the quotient's exponents.
+    """
+    fc = f._coeffs
+    if len(fc) == 2:
+        u = p.universe
+        top, bottom = fc.items()
+        w = [a - b for a, b in zip(u._unpack(top[0]), u._unpack(bottom[0]))]
+        if -1 in w and 1 not in w:
+            top, bottom = bottom, top
+            w = [-x for x in w]
+        # the chain keys are within _bound * (1 + max |w_j|); beyond the
+        # digit range a carry could merge two chains
+        if 1 in w and p._bound * (1 + max(map(abs, w))) <= EXP_LIMIT:
+            return _chain_div(p, f, w.index(1), top, bottom)
+    return _heap_div(p, f)
+
+
+def _chain_div(p: LaurentPoly, f: LaurentPoly, i: int, top, bottom):
+    """p/f or None, for a binomial f = c_t X^t + c_b X^b whose exponent
+    difference s = t - b has x_i-entry 1, by synthetic division.
+
+    f is X^b (c_t Z + c_b) with Z = X^s, and X^b is free of x_i (f's
+    minimum exponent in x_i is 0).  Write each term of p as X^k' Z^e, where
+    e is its x_i-degree and the chain key k' = k - e s is free of x_i.
+    Multiplying by X^b and by c_t Z + c_b maps a chain into one chain, so
+    f divides p exactly when it divides every chain polynomial
+    sum_e c_e Z^e, a polynomial in Z up to a power of Z.  A single-term
+    chain is a unit times a power of Z, which the binomial never divides.
+    Otherwise Horner's scheme runs from the chain's top degree down: each
+    step's value divided by c_t is the next quotient coefficient, and a
+    remainder there is a miss, because c_t Z + c_b is primitive and any
+    quotient of it is integral.  The final value is the chain polynomial,
+    over its lowest power of Z, at Z = -c_b/c_t, and must be 0.  Gaps in a
+    chain are degrees with coefficient 0, and zero quotient coefficients
+    are left out.
+    """
+    (kt, ct), (kb, cb) = top, bottom
+    pc = p._coeffs
+    step = kt - kb
+    chains: dict = {}
+    for (k, c), e in zip(pc.items(), p.universe._digits(pc, i)):
+        base = k - e * step
+        chain = chains.get(base)
+        if chain is None:
+            chains[base] = {e: c}
+        else:
+            chain[e] = c
+    quot = []
+    append = quot.append
+    for base, chain in chains.items():
+        if len(chain) == 1:
+            return None
+        lo, hi = min(chain), max(chain)
+        get = chain.get
+        # the quotient's degree-j term of this chain is at key
+        # base - kb + j * step
+        key = base - kb + hi * step
+        r = chain[hi]
+        for j in range(hi - 1, lo - 1, -1):
+            key -= step
+            q, rest = divmod(r, ct)
+            if rest:
+                return None
+            if q:
+                append((key, q))
+            r = get(j, 0) - cb * q
+        if r:
+            return None
+    quot.sort(reverse=True)
+    # the quotient's exponent box is [low(p), high(p) - high(f)], since
+    # degrees in each variable add under products; its ends are read off
+    # the quotient's own keys
+    low, high = p.universe._box([k for k, _ in quot])
+    lead_c = f._denom
+    return _canonical(p.universe, {k: c * lead_c for k, c in quot},
+                      p._denom, _check_bound(max(map(abs, low + high))))
+
+
+def _heap_div(p: LaurentPoly, f: LaurentPoly):
+    """p/f or None by long division, for the factors that _chain_div does
+    not take.
 
     Lex order is a monomial order, so p's lex-highest and lex-lowest terms
     are those of f times those of the integer quotient.  An end
     coefficient of p that the matching one of f does not divide is
     therefore a miss, refuted from four dict entries before any exponent
-    is unpacked.  Every other case goes on to long division.
+    is unpacked.
 
     Monomial factors always divide in the Laurent ring, so divisibility is
     tested after shifting p to nonnegative exponents.  A leading
@@ -620,8 +659,6 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     every exponent of the remainder within span(p).
     """
     pc, fc = p._coeffs, f._coeffs
-    if len(fc) == 2 and _binomial_misses(p, f):
-        return None
     lead_c = f._denom
     if pc[max(pc)] % lead_c or pc[min(pc)] % fc[min(fc)]:
         return None

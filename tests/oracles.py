@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List
 
-from confchern.classes import euler_point, psi
+from confchern.classes import (euler_point, euler_reciprocal, mc_orbit_conf,
+                               psi)
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 
@@ -228,6 +229,21 @@ def mc_orbit_full_expanded(t, k: int) -> RatFunc:
         prev = t.one()
     else:
         prev = mc_orbit_conf_pairwise(t, k - 1) / euler_point_beta(t, k - 1)
+    return main + k * prev
+
+
+def mc_orbit_full_composed(t, k: int) -> RatFunc:
+    """`classes.mc_orbit_full` composed from its parts, each built on its
+    own: mc_orbit_conf at k and at k - 1, times the reciprocal Euler
+    classes over the weights W = (b_a a_j) of k points and of the first
+    k - 1."""
+    weights = [t.b(a) * t.a(j) for a in range(1, k + 1)
+               for j in range(1, t.n + 1)]
+    main = mc_orbit_conf(t, k) * euler_reciprocal(t, weights)
+    if k == 1:
+        prev = t.one()
+    else:
+        prev = mc_orbit_conf(t, k - 1) * euler_reciprocal(t, weights[:-t.n])
     return main + k * prev
 
 

@@ -18,7 +18,8 @@ from confchern.classes import (ProjFixedPoint, TorusData,
 from confchern.laurent import RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 from oracles import (euler_point_beta, mc_orbit_conf_pairwise,
-                     mc_orbit_full_expanded, ratfunc_storage)
+                     mc_orbit_full_composed, mc_orbit_full_expanded,
+                     ratfunc_storage)
 
 
 def _one_block(k):
@@ -270,6 +271,41 @@ def test_orbit_full_matches_the_expanded_euler_class(n, k):
     got, want = mc_orbit_full(t, k), mc_orbit_full_expanded(t, k)
     assert got == want
     assert got.den == want.den
+
+
+@pytest.mark.parametrize("n,k", _ORBIT_SIZES)
+def test_orbit_full_stores_what_its_parts_compose(n, k):
+    # one weight table and one reciprocal build the same storage as the
+    # two orbit classes and the two reciprocals built on their own
+    t = TorusData.standard(n, k=k)
+    assert ratfunc_storage(mc_orbit_full(t, k)) \
+        == ratfunc_storage(mc_orbit_full_composed(t, k))
+
+
+def test_orbit_full_builds_each_block_weight_once(monkeypatch):
+    # the sums over [3] and over [2] read one table: each of the 7 blocks
+    # of [3] gets one weight object, and the L_i are built once
+    weights = {}
+    factors = []
+    real_sum, real_factor = classes.partition_sum, classes.fixed_point_factor
+
+    def recording_sum(p0, block_weight, one):
+        def weight(block):
+            w = block_weight(block)
+            weights.setdefault(block, set()).add(id(w))
+            return w
+        return real_sum(p0, weight, one)
+
+    def recording_factor(t, i):
+        factors.append(i)
+        return real_factor(t, i)
+
+    monkeypatch.setattr(classes, "partition_sum", recording_sum)
+    monkeypatch.setattr(classes, "fixed_point_factor", recording_factor)
+    mc_orbit_full(TorusData.standard(3, k=3), 3)
+    assert len(weights) == 7
+    assert all(len(ids) == 1 for ids in weights.values())
+    assert sorted(factors) == [1, 2, 3]
 
 
 def test_block_weight_divisions_all_hit(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -738,11 +739,11 @@ _no_unit_exp = st.sampled_from((-3, -2, 0, 2, 3))
 
 
 @st.composite
-def binomial_divisors(draw):
-    """c1 X^u + c2 X^v, half of them with an entry +-1 in w = u - v (tested
-    by substitution), half with none (long division only)."""
+def binomial_divisors(draw, unit_entry=st.booleans()):
+    """c1 X^u + c2 X^v, half of them with an entry +-1 in w = u - v
+    (divided by chains), half with none (long division only)."""
     v = tuple(draw(_exp) for _ in U.names)
-    if draw(st.booleans()):
+    if draw(unit_entry):
         w = [draw(_exp) for _ in U.names]
         w[draw(st.sampled_from(range(len(U))))] = draw(st.sampled_from((1, -1)))
     else:
@@ -759,6 +760,23 @@ def binomial_divisors(draw):
 def test_exact_div_by_binomial_matches_oracle(p, f, q, multiple):
     f = _factor(f)
     _assert_exact_div_matches_oracle(_dividend(p, q, f, multiple), f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), binomial_divisors(unit_entry=st.just(True)), nonzero_polys,
+       st.booleans())
+def test_chain_division_stores_what_long_division_does(p, f, q, multiple):
+    # the same quotient storage, keys in order, denominator and bound, or
+    # the same miss, and the heap is never entered
+    f = _factor(f)
+    p = _dividend(p, q, f, multiple)
+    want = laurent._heap_div(p, f)
+    with mock.patch.object(laurent, "_heap_div",
+                           side_effect=AssertionError("entered the heap")):
+        got = _exact_div(p, f)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert ratfunc_storage(RatFunc(got)) == ratfunc_storage(RatFunc(want))
 
 
 _non_unit = st.sampled_from((-6, -4, -3, -2, 2, 3, 4, 6))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confchern import classes, series
+from confchern import classes
 from confchern.classes import TorusData
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import coefficient_a, enumerate_partitions
@@ -240,14 +240,14 @@ def test_orbit_full_series_small(n, N):
 
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 2), (2, 3)])
 def test_orbit_full_series_fails_on_a_negated_orbit_class(n, N, monkeypatch):
-    # the vanishing-allowed classes are built from the orbit classes, so a
-    # check that compared them with the series of those same classes would
-    # pass a wrong one; the closed form does not read them
-    def negated(t, k, _real=classes.mc_orbit_conf):
-        return _real(t, k) * -1
+    # the vanishing-allowed classes are built from the orbit classes' two
+    # partition sums, so a check that compared them with the series of
+    # those same sums would pass a wrong one; the closed form does not
+    # read them
+    def negated(p0, block_weight, one, _real=classes.partition_sum):
+        return _real(p0, block_weight, one) * -1
 
-    monkeypatch.setattr(classes, "mc_orbit_conf", negated)
-    monkeypatch.setattr(series, "mc_orbit_conf", negated)
+    monkeypatch.setattr(classes, "partition_sum", negated)
     assert check_orbit_full_series(n, N) is False
 
 
