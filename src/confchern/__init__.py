@@ -6,10 +6,10 @@ from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError, VarUniverse,
 from .partitions import (SetPartition, coefficient_a,
                          coefficient_a_graph_oracle, enumerate_partitions,
                          enumerate_refinements)
-from .classes import (ProjFixedPoint, TorusData, euler_point, lambda_y_proj,
+from .classes import (ProjFixedPoint, TorusData, lambda_classes,
                       mc_conf_affine, mc_conf_generic, mc_conf_proj_at,
                       mc_conf_proj_recursion, mc_conf_proj_refinement_sum,
-                      mc_line_classes, mc_orbit_conf, mc_orbit_full, psi,
+                      mc_line_classes, mc_orbit_conf, mc_orbit_full,
                       standard_universe)
 from .series import (PoleOrderError, TruncSeries, check_orbit_full_series,
                      check_orbit_series, check_partition_exp_identity,

@@ -87,64 +87,64 @@ class ProjFixedPoint:
         return SetPartition(self.k, groups.values())
 
 
-def mc_line_classes(universe: VarUniverse, alpha_var: str):
-    """Classes of the origin, the line, and the punctured line in a
-    one-dimensional weight-`alpha_var` representation.
+def mc_line_classes(w: RatFunc):
+    """Classes of the origin, the line and the punctured line in the
+    one-dimensional representation of monomial weight w.
 
-    Returns (origin, line, punctured) = (1 - 1/a, 1 + y/a, (1+y)/a).
-    """
-    a = RatFunc.var(universe, alpha_var)
-    y = RatFunc.var(universe, "y")
-    origin = 1 - 1 / a
-    line = 1 + y / a
+    Returns (origin, line, punctured) = (1 - 1/w, 1 + y/w, (1+y)/w), the
+    last as line - origin.  Every local class below is built from these,
+    over the weights of a tangent space."""
+    if w.is_zero():
+        raise ValueError("a line class needs a nonzero weight")
+    inv = w.inverse()
+    origin = 1 - inv
+    line = 1 + RatFunc.var(w.universe, "y") * inv
     return origin, line, line - origin
 
 
-def euler_point(t: TorusData, k: int = 1) -> RatFunc:
-    """Euler class of the origin in (C^n)^k: prod_j (1 - 1/a_j)^k."""
-    acc = t.one()
-    for i in range(1, t.n + 1):
-        acc = acc * (1 - 1 / t.a(i))
-    return acc ** k
+def lambda_classes(t: TorusData, weights):
+    """The products over the weights w of the line classes 1 + y/w and of
+    the origin classes 1 - 1/w: lambda_y and lambda_{-1} of the cotangent
+    space at a fixed point with these tangent weights.  Over the weights
+    a_j of C^n they are the class of C^n and the Euler class of its
+    origin."""
+    lam_y = lam_m1 = t.one()
+    for w in weights:
+        origin, line, _ = mc_line_classes(w)
+        lam_y = lam_y * line
+        lam_m1 = lam_m1 * origin
+    return lam_y, lam_m1
+
+
+def proj_tangent_weights(t: TorusData, i: int) -> list:
+    """The weights a_j/a_i (j != i) of the tangent space of projective
+    space at the i-th fixed point."""
+    if not 1 <= i <= t.n:
+        raise ValueError("fixed point index out of range")
+    a_i = t.a(i)
+    return [t.a(j) / a_i for j in range(1, t.n + 1) if j != i]
 
 
 def euler_reciprocal(t: TorusData, weights) -> RatFunc:
     """The reciprocal of the Euler class prod_w (1 - 1/w) of monomial
-    weights w, built one weight at a time as prod_w w / (w - 1).  Each
-    binomial w - 1 stays a denominator factor of its own, so the
+    weights w, built one origin class at a time as prod_w w / (w - 1).
+    Each binomial w - 1 stays a denominator factor of its own, so the
     reciprocals over overlapping lists of weights share their factors."""
     acc = t.one()
     for w in weights:
-        acc = acc * (w / (w - 1))
+        acc = acc / mc_line_classes(w)[0]
     return acc
-
-
-def lambda_y_proj(t: TorusData, i: int):
-    """Cotangent lambda_y and lambda_{-1} of projective space at the i-th
-    fixed point: (prod_{j!=i} 1 + y a_i/a_j, prod_{j!=i} 1 - a_i/a_j)."""
-    if not 1 <= i <= t.n:
-        raise ValueError("fixed point index out of range")
-    numer = t.one()
-    denom = t.one()
-    for j in range(1, t.n + 1):
-        if j == i:
-            continue
-        numer = numer * (1 + t.y * t.a(i) / t.a(j))
-        denom = denom * (1 - t.a(i) / t.a(j))
-    return numer, denom
 
 
 def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
     """lambda_y over lambda_{-1} of projective space at the i-th fixed
-    point, prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j), built one j at a
-    time.  Each binomial 1 - a_i/a_j stays a denominator factor of its
+    point, prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j), built one weight at
+    a time.  Each binomial 1 - a_i/a_j stays a denominator factor of its
     own, which the factor at the j-th fixed point shares."""
-    if not 1 <= i <= t.n:
-        raise ValueError("fixed point index out of range")
     acc = t.one()
-    for j in range(1, t.n + 1):
-        if j != i:
-            acc = acc * (1 + t.y * t.a(i) / t.a(j)) / (1 - t.a(i) / t.a(j))
+    for w in proj_tangent_weights(t, i):
+        origin, line, _ = mc_line_classes(w)
+        acc = acc * line / origin
     return acc
 
 
@@ -167,12 +167,11 @@ def mc_conf_generic(mcB: RatFunc, euTM: RatFunc, k: int) -> RatFunc:
 
 def mc_conf_affine(t: TorusData, k: int) -> RatFunc:
     """Class of the configuration space of affine n-space at the origin:
-    the point-data class at mcB = prod_j (1 + y/a_j), euTM = euler_point(t),
-    that is prod_{m<k} (mcB - m euTM)."""
-    mcB = t.one()
-    for j in range(1, t.n + 1):
-        mcB = mcB * (1 + t.y / t.a(j))
-    return mc_conf_generic(mcB, euler_point(t), k)
+    the point-data class at the line and origin classes over the weights
+    a_j, mcB = prod_j (1 + y/a_j) and euTM = prod_j (1 - 1/a_j), that is
+    prod_{m<k} (mcB - m euTM)."""
+    mcB, euTM = lambda_classes(t, [t.a(j) for j in range(1, t.n + 1)])
+    return mc_conf_generic(mcB, euTM, k)
 
 
 def mc_conf_proj_refinement_sum(t: TorusData, e: ProjFixedPoint) -> RatFunc:
@@ -181,7 +180,8 @@ def mc_conf_proj_refinement_sum(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     coincidence partition of a(P) prod_{B in P} lambda_y(i_B)
     lambda_{-1}(i_B)^(|B|-1).  Bell-number slow; the checks compare
     `mc_conf_proj_at` and `mc_conf_proj_recursion` against it."""
-    lam = {i: lambda_y_proj(t, i) for i in set(e.iota)}
+    lam = {i: lambda_classes(t, proj_tangent_weights(t, i))
+           for i in set(e.iota)}
 
     def weight(block):
         lam_y, lam_m1 = lam[e.iota[block[0] - 1]]
@@ -199,48 +199,43 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     """
     acc = t.one()
     for block in e.induced_partition().blocks:
-        lam_y, lam_m1 = lambda_y_proj(t, e.iota[block[0] - 1])
+        lam_y, lam_m1 = lambda_classes(
+            t, proj_tangent_weights(t, e.iota[block[0] - 1]))
         acc = acc * mc_conf_generic(lam_y, lam_m1, len(block))
     return acc
 
 
-def psi(universe: VarUniverse, i: int, j: int, theta: RatFunc) -> RatFunc:
-    """Local class factor of a coordinate direction: (1+y)/theta on the
-    distinguished diagonal (i = j), 1 - 1/theta otherwise."""
-    if theta.is_zero():
-        raise ValueError("psi requires a nonzero weight")
-    if i == j:
-        y = RatFunc.var(universe, "y")
-        return (1 + y) / theta
-    return 1 - 1 / theta
-
-
 def _orbit_block_weights(t: TorusData, k: int):
-    """The block weight w(B) = sum_i L_i * prod_{a in B} prod_j
-    psi(i, j, b_a a_j) of the orbit classes, for the blocks B of [k], where
-    L_i is the `fixed_point_factor` at i.  Each block's weight is built
-    once for the life of the returned function, so the sums over [k] and
-    over [k - 1] share it."""
+    """The block weight w(B) = sum_i L_i * prod_{a in B} Psi_{i,a} of the
+    orbit classes, for the blocks B of [k], where L_i is the
+    `fixed_point_factor` at i and Psi_{i,a} = prod_j psi_ij(b_a a_j): the
+    punctured line class (1+y)/theta at j = i and the origin class
+    1 - 1/theta otherwise.  Each block's weight is built once for the life
+    of the returned function, so the sums over [k] and over [k - 1] share
+    it."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
     if len(t.beta) < k:
         raise ValueError("need at least k beta names")
 
-    # w(B) = sum_i L_i prod_{a in B} Psi_{i,a}, Psi_{i,a} = prod_j
-    # psi(i, j, b_a a_j), whose denominators are monomials.  The factors of
-    # the L_i cancel only in the whole sum, so the L_i are lifted over their
-    # common denominator once: each w(B) is then a sum with no factor times
-    # the shared reciprocal, and that one product cancels them all
+    # the Psi_{i,a} have monomial denominators.  The factors of the L_i
+    # cancel only in the whole sum, so the L_i are lifted over their common
+    # denominator once: each w(B) is then a sum with no factor times the
+    # shared reciprocal, and that one product cancels them all
     lifted, recip = RatFunc.over_common_den(
         [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
     lifted = [RatFunc(num) for num in lifted]
+    # the line classes of each weight b_a a_j, built once for all n rows
+    lines = {(a, j): mc_line_classes(t.b(a) * t.a(j))
+             for a in range(1, k + 1) for j in range(1, t.n + 1)}
     psis = []
     for i in range(1, t.n + 1):
         row = {}
         for a in range(1, k + 1):
             acc = t.one()
             for j in range(1, t.n + 1):
-                acc = acc * psi(t.universe, i, j, t.b(a) * t.a(j))
+                origin, _, punctured = lines[a, j]
+                acc = acc * (punctured if j == i else origin)
             row[a] = acc
         psis.append(row)
     built = {}
@@ -268,9 +263,8 @@ def _orbit_sum(t: TorusData, k: int, weight) -> RatFunc:
 def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     """Class of the space of k pairwise linearly independent nonzero vectors
     in C^n, with per-point scaling weights b_1..b_k: the partition sum over
-    set partitions P of [k] of a(P) * prod_{B in P} w(B), where
-    w(B) = sum_i L_i * prod_{a in B} prod_j psi(i, j, b_a a_j) and L_i is
-    the `fixed_point_factor` at i."""
+    set partitions P of [k] of a(P) * prod_{B in P} w(B), with the block
+    weights w(B) of `_orbit_block_weights`."""
     return _orbit_sum(t, k, _orbit_block_weights(t, k))
 
 
@@ -294,9 +288,7 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     weights = [t.b(a) * t.a(j) for a in range(1, k + 1)
                for j in range(1, t.n + 1)]
     prev_recip = euler_reciprocal(t, weights[:-t.n])
-    recip = prev_recip
-    for w in weights[-t.n:]:
-        recip = recip * (w / (w - 1))
+    recip = prev_recip * euler_reciprocal(t, weights[-t.n:])
     main = _orbit_sum(t, k, block_weight) * recip
     if k == 1:
         prev = t.one()
@@ -317,5 +309,5 @@ def mc_conf_proj_recursion(t: TorusData, e_extended: ProjFixedPoint) -> RatFunc:
         base = mc_conf_proj_at(t, ProjFixedPoint(prefix))
     else:
         base = t.one()
-    lam_y, lam_m1 = lambda_y_proj(t, last)
+    lam_y, lam_m1 = lambda_classes(t, proj_tangent_weights(t, last))
     return base * (lam_y - n_coincide * lam_m1)

@@ -8,7 +8,6 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import collections.abc
-import heapq
 import math
 import operator
 import struct
@@ -554,7 +553,7 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     A binomial f with an entry +-1 in the difference of its two exponents
     is divided in one synthetic pass (_chain_div) whenever its chain keys
     stay inside the packed digit range; every other factor goes to long
-    division (_heap_div).  Both store a quotient the same way: keys in
+    division (_long_div).  Both store a quotient the same way: keys in
     descending order, numerators over p's denominator with their common
     factor divided out, and as bound the largest |exponent| of the box
     [low(p), high(p) - high(f)] that holds the quotient's exponents.
@@ -571,7 +570,7 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
         # digit range a carry could merge two chains
         if 1 in w and p._bound * (1 + max(map(abs, w))) <= EXP_LIMIT:
             return _chain_div(p, f, w.index(1), top, bottom)
-    return _heap_div(p, f)
+    return _long_div(p, f)
 
 
 def _chain_div(p: LaurentPoly, f: LaurentPoly, i: int, top, bottom):
@@ -635,7 +634,7 @@ def _chain_div(p: LaurentPoly, f: LaurentPoly, i: int, top, bottom):
                       p._denom, _check_bound(max(map(abs, low + high))))
 
 
-def _heap_div(p: LaurentPoly, f: LaurentPoly):
+def _long_div(p: LaurentPoly, f: LaurentPoly):
     """p/f or None by long division, for the factors that _chain_div does
     not take.
 
@@ -648,13 +647,10 @@ def _heap_div(p: LaurentPoly, f: LaurentPoly):
     Monomial factors always divide in the Laurent ring, so divisibility is
     tested after shifting p to nonnegative exponents.  A leading
     coefficient that leaves a remainder is a miss.  The remainder lives in
-    one dict that each step updates in place: the lex-leading term is
-    cancelled against f's leading term, and only the terms that f's other
-    terms touch are rewritten.  The leading term comes off a heap of
-    negated keys beside the dict (Johnson's heap division): a key is
-    pushed when it enters the remainder, and a popped key that has since
-    left it is skipped, so the steps are those of taking max(rem) each
-    time.  A quotient term has exponents in the box
+    one dict that each step updates in place: its lex-leading term,
+    max(rem), is cancelled against f's leading term, and only the terms
+    that f's other terms touch are rewritten.  A quotient term has
+    exponents in the box
     [0, span(p) - span(f)], so a step outside it is a miss too; that keeps
     every exponent of the remainder within span(p).
     """
@@ -670,8 +666,6 @@ def _heap_div(p: LaurentPoly, f: LaurentPoly):
         return None
     p_off = u._key(p_low)
     rem = {k - p_off: c for k, c in pc.items()}
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
     lead = max(fc)
     rest = [(k, c) for k, c in fc.items() if k != lead]
     # with every digit below half the range, adding the guard bits keeps
@@ -679,12 +673,10 @@ def _heap_div(p: LaurentPoly, f: LaurentPoly):
     guard = u._guard
     top_q = u._key(room) + guard
     quot = []
-    get, pop, push = rem.get, heapq.heappop, heapq.heappush
+    get = rem.get
     while rem:
-        top = -pop(heap)
-        top_c = rem.pop(top, 0)
-        if not top_c:
-            continue
+        top = max(rem)
+        top_c = rem.pop(top)
         q = top - lead
         if (q + guard) & (top_q - q) & guard != guard:
             return None
@@ -698,7 +690,6 @@ def _heap_div(p: LaurentPoly, f: LaurentPoly):
             old = get(key)
             if old is None:
                 rem[key] = -d
-                push(heap, -key)
             elif old != d:
                 rem[key] = old - d
             else:

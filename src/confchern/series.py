@@ -11,7 +11,7 @@ from typing import Sequence
 from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
                       VarUniverse)
 from .classes import (TorusData, euler_reciprocal, fixed_point_factor,
-                      mc_orbit_conf, mc_orbit_full)
+                      mc_line_classes, mc_orbit_conf, mc_orbit_full)
 
 
 class TruncSeries:
@@ -198,7 +198,8 @@ def orbit_series(n: int, n_order: int) -> TruncSeries:
     weight universe (scaling weights specialized to 1)."""
     t_data = TorusData.standard(n, k=n_order)
     ones = {name: 1 for name in t_data.beta}
-    # over euler_point(t_data, k), whose reciprocal is this one's k-th power
+    # over the Euler class prod_j (1 - 1/a_j)^k of the origin in (C^n)^k,
+    # whose reciprocal is this one's k-th power
     recip = euler_reciprocal(t_data, [t_data.a(j) for j in range(1, n + 1)])
     return _egf(t_data.universe, n_order, lambda k: mc_orbit_conf(
         t_data, k).substitute(ones) * recip ** k)
@@ -206,15 +207,16 @@ def orbit_series(n: int, n_order: int) -> TruncSeries:
 
 def _orbit_closed_form(n: int, n_order: int) -> TruncSeries:
     """The closed form of the orbit series, prod_i (1 + c_i t)^(L_i) with
-    c_i = (1+y)/(a_i - 1) and L_i the `fixed_point_factor` at i, as one
-    exp of the summed logarithms: exp(sum_i L_i log(1 + c_i t))."""
+    c_i = (1+y)/(a_i - 1), the punctured line class over the origin class
+    at a_i, and L_i the `fixed_point_factor` at i, as one exp of the summed
+    logarithms: exp(sum_i L_i log(1 + c_i t))."""
     t_data = TorusData.standard(n, k=n_order)
     universe = t_data.universe
     t = TruncSeries.t(universe, n_order)
-    one_plus_y = 1 + t_data.y
     log = TruncSeries.const(universe, n_order, 0)
     for i in range(1, n + 1):
-        c_t = (one_plus_y / (t_data.a(i) - 1)) * t
+        origin, _, punctured = mc_line_classes(t_data.a(i))
+        c_t = (punctured / origin) * t
         log = log + fixed_point_factor(t_data, i) * c_t.log1p()
     return log.exp()
 

@@ -9,8 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List
 
-from confchern.classes import (euler_point, euler_reciprocal, mc_orbit_conf,
-                               psi)
+from confchern.classes import euler_reciprocal, mc_orbit_conf
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 
@@ -206,7 +205,9 @@ def mc_orbit_conf_pairwise(t, k: int) -> RatFunc:
         for a in range(1, k + 1):
             acc = t.one()
             for j in range(1, t.n + 1):
-                acc = acc * psi(t.universe, i, j, t.b(a) * t.a(j))
+                # psi_ij(theta): (1+y)/theta at j = i, else 1 - 1/theta
+                theta = t.b(a) * t.a(j)
+                acc = acc * ((1 + t.y) / theta if j == i else 1 - 1 / theta)
             row[a] = acc
         psis.append(row)
 
@@ -250,9 +251,12 @@ def mc_orbit_full_composed(t, k: int) -> RatFunc:
 def orbit_coefficient_expanded(t, k: int) -> RatFunc:
     """The k-th coefficient of `series.orbit_series` (up to 1/k!) over the
     expanded Euler class: mc_orbit_conf at unit scaling weights divided by
-    `classes.euler_point`."""
+    prod_j (1 - 1/a_j)^k."""
     ones = {name: 1 for name in t.beta}
-    return mc_orbit_conf_pairwise(t, k).substitute(ones) / euler_point(t, k)
+    euler = t.one()
+    for j in range(1, t.n + 1):
+        euler = euler * (1 - 1 / t.a(j))
+    return mc_orbit_conf_pairwise(t, k).substitute(ones) / euler ** k
 
 
 def over_common_den_pair(f: RatFunc, g: RatFunc):

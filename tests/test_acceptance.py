@@ -55,9 +55,9 @@ def test_03_ordered_partition_counts():
 
 def test_04_line_class_triple_additivity():
     u = VarUniverse(("a1", "y"))
-    origin, line, punctured = mc_line_classes(u, "a1")
     from confchern.laurent import RatFunc
     a = RatFunc.var(u, "a1")
+    origin, line, punctured = mc_line_classes(a)
     y = RatFunc.var(u, "y")
     ok = (origin == 1 - 1 / a and line == 1 + y / a
           and punctured == (1 + y) / a

@@ -7,14 +7,13 @@ from itertools import combinations, permutations, product
 import pytest
 
 from confchern import classes, cli, laurent
-from confchern.classes import (ProjFixedPoint, TorusData,
-                               euler_point, euler_reciprocal,
-                               fixed_point_factor, lambda_y_proj,
+from confchern.classes import (ProjFixedPoint, TorusData, euler_reciprocal,
+                               fixed_point_factor, lambda_classes,
                                mc_conf_affine, mc_conf_generic,
                                mc_conf_proj_at, mc_conf_proj_recursion,
                                mc_conf_proj_refinement_sum, mc_line_classes,
-                               mc_orbit_conf, mc_orbit_full, psi,
-                               standard_universe)
+                               mc_orbit_conf, mc_orbit_full,
+                               proj_tangent_weights, standard_universe)
 from confchern.laurent import RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 from oracles import (euler_point_beta, mc_orbit_conf_pairwise,
@@ -33,10 +32,16 @@ def _generic_definition(mcB, euTM, k):
                          lambda b: mcB * euTM ** (len(b) - 1), one)
 
 
+def _proj_lambdas(t, i):
+    """lambda_y and lambda_{-1} of projective space at the i-th fixed
+    point."""
+    return lambda_classes(t, proj_tangent_weights(t, i))
+
+
 def test_line_classes():
     u = VarUniverse(("a1", "y"))
-    origin, line, punctured = mc_line_classes(u, "a1")
     a = RatFunc.var(u, "a1")
+    origin, line, punctured = mc_line_classes(a)
     y = RatFunc.var(u, "y")
     assert origin == 1 - 1 / a
     assert line == 1 + y / a
@@ -44,30 +49,59 @@ def test_line_classes():
     assert punctured == line - origin
 
 
-def test_euler_point():
+@pytest.mark.parametrize("weight", [
+    lambda t: t.a(1), lambda t: t.b(1) * t.a(1), lambda t: t.a(2) / t.a(1)],
+    ids=["a1", "b1*a1", "a2/a1"])
+def test_line_classes_at_a_weight(weight):
+    t = TorusData.standard(2, k=1)
+    w = weight(t)
+    origin, line, punctured = mc_line_classes(w)
+    assert origin == 1 - 1 / w
+    assert line == 1 + t.y / w
+    assert punctured == (1 + t.y) / w
+    assert punctured == line - origin
+
+
+def test_line_classes_at_orbit_weights():
+    u = standard_universe(1, 1)
+    a1 = RatFunc.var(u, "a1")
+    b1 = RatFunc.var(u, "b1")
+    y = RatFunc.var(u, "y")
+    assert mc_line_classes(a1)[2] == (1 + y) / a1
+    u2 = standard_universe(2)
+    a2 = RatFunc.var(u2, "a2")
+    assert mc_line_classes(a2)[0] == 1 - 1 / a2
+    assert mc_line_classes(b1 * a1)[2] == (1 + y) / (b1 * a1)
+    with pytest.raises(ValueError):
+        mc_line_classes(RatFunc.const(u, 0))
+
+
+def test_lambda_classes_of_the_origin():
     t1 = TorusData.standard(1)
-    assert euler_point(t1, 1) == 1 - 1 / t1.a(1)
+    assert lambda_classes(t1, [t1.a(1)])[1] == 1 - 1 / t1.a(1)
     t2 = TorusData.standard(2)
     base = (1 - 1 / t2.a(1)) * (1 - 1 / t2.a(2))
-    assert euler_point(t2, 1) == base
-    assert euler_point(t2, 3) == base ** 3
+    weights = [t2.a(1), t2.a(2)]
+    assert lambda_classes(t2, weights)[1] == base
+    # the origin of (C^2)^3
+    assert lambda_classes(t2, weights * 3)[1] == base ** 3
 
 
-def test_lambda_y_proj():
+def test_lambda_classes_at_proj_fixed_points():
     t1 = TorusData.standard(1)
-    assert lambda_y_proj(t1, 1) == (t1.one(), t1.one())
+    assert _proj_lambdas(t1, 1) == (t1.one(), t1.one())
 
     t2 = TorusData.standard(2)
-    assert lambda_y_proj(t2, 1) == (1 + t2.y * t2.a(1) / t2.a(2),
+    assert _proj_lambdas(t2, 1) == (1 + t2.y * t2.a(1) / t2.a(2),
                                     1 - t2.a(1) / t2.a(2))
 
     t3 = TorusData.standard(3)
-    num, den = lambda_y_proj(t3, 2)
+    num, den = _proj_lambdas(t3, 2)
     assert num == (1 + t3.y * t3.a(2) / t3.a(1)) * (1 + t3.y * t3.a(2) / t3.a(3))
     assert den == (1 - t3.a(2) / t3.a(1)) * (1 - t3.a(2) / t3.a(3))
 
     with pytest.raises(ValueError):
-        lambda_y_proj(t2, 3)
+        proj_tangent_weights(t2, 3)
 
 
 def _free_point_data():
@@ -118,15 +152,15 @@ def test_affine_equals_generic(n, k):
 
 def test_mc_conf_proj_single_point():
     t3 = TorusData.standard(3)
-    lam, _ = lambda_y_proj(t3, 2)
+    lam, _ = _proj_lambdas(t3, 2)
     assert mc_conf_proj_at(t3, ProjFixedPoint((2,))) == lam
 
 
 def test_mc_conf_proj_distinct_pair():
     t2 = TorusData.standard(2)
     got = mc_conf_proj_at(t2, ProjFixedPoint((1, 2)))
-    lam1, _ = lambda_y_proj(t2, 1)
-    lam2, _ = lambda_y_proj(t2, 2)
+    lam1, _ = _proj_lambdas(t2, 1)
+    lam2, _ = _proj_lambdas(t2, 2)
     assert got == lam1 * lam2
 
 
@@ -163,20 +197,6 @@ def test_proj_fixed_point_validation():
     t2 = TorusData.standard(2)
     with pytest.raises(ValueError):
         mc_conf_proj_at(t2, ProjFixedPoint((3,)))
-
-
-def test_psi():
-    u = standard_universe(1, 1)
-    a1 = RatFunc.var(u, "a1")
-    b1 = RatFunc.var(u, "b1")
-    y = RatFunc.var(u, "y")
-    assert psi(u, 1, 1, a1) == (1 + y) / a1
-    u2 = standard_universe(2)
-    a2 = RatFunc.var(u2, "a2")
-    assert psi(u2, 1, 2, a2) == 1 - 1 / a2
-    assert psi(u, 1, 1, b1 * a1) == (1 + y) / (b1 * a1)
-    with pytest.raises(ValueError):
-        psi(u, 1, 2, RatFunc.const(u, 0))
 
 
 def test_mc_orbit_conf_n1_k1():
@@ -217,14 +237,14 @@ def test_euler_reciprocal():
     # one binomial factor b_a a_j - 1 per weight
     assert sorted(len(f._coeffs) for f in got._factors) == [2] * 4
     t1 = TorusData.standard(1)
-    assert euler_reciprocal(t1, [t1.a(1)] * 3) == 1 / euler_point(t1, 3)
+    assert euler_reciprocal(t1, [t1.a(1)] * 3) == 1 / (1 - 1 / t1.a(1)) ** 3
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_fixed_point_factor(n):
     t = TorusData.standard(n)
     for i in range(1, n + 1):
-        lam_y, lam_m1 = lambda_y_proj(t, i)
+        lam_y, lam_m1 = _proj_lambdas(t, i)
         got = fixed_point_factor(t, i)
         assert got == lam_y / lam_m1
         # the binomials 1 - a_i/a_j stay apart
@@ -284,10 +304,14 @@ def test_orbit_full_stores_what_its_parts_compose(n, k):
 
 def test_orbit_full_builds_each_block_weight_once(monkeypatch):
     # the sums over [3] and over [2] read one table: each of the 7 blocks
-    # of [3] gets one weight object, and the L_i are built once
+    # of [3] gets one weight object, and the L_i are built once.  The line
+    # classes are built once per weight: 6 for the L_i, 9 for the Psi rows
+    # and 9 for the reciprocal over the 9 weights b_a a_j
     weights = {}
     factors = []
+    lines = []
     real_sum, real_factor = classes.partition_sum, classes.fixed_point_factor
+    real_lines = classes.mc_line_classes
 
     def recording_sum(p0, block_weight, one):
         def weight(block):
@@ -300,12 +324,21 @@ def test_orbit_full_builds_each_block_weight_once(monkeypatch):
         factors.append(i)
         return real_factor(t, i)
 
+    def recording_lines(w):
+        lines.append(w)
+        return real_lines(w)
+
     monkeypatch.setattr(classes, "partition_sum", recording_sum)
     monkeypatch.setattr(classes, "fixed_point_factor", recording_factor)
+    monkeypatch.setattr(classes, "mc_line_classes", recording_lines)
     mc_orbit_full(TorusData.standard(3, k=3), 3)
     assert len(weights) == 7
     assert all(len(ids) == 1 for ids in weights.values())
     assert sorted(factors) == [1, 2, 3]
+    assert len(lines) == 24
+    lines.clear()
+    mc_orbit_conf(TorusData.standard(3, k=3), 3)
+    assert len(lines) == 15
 
 
 def test_block_weight_divisions_all_hit(monkeypatch):
@@ -389,7 +422,7 @@ def test_orbit_classes_are_symmetric_in_the_scaling_weights(build, n, k):
 
 def test_recursion_base_case():
     t2 = TorusData.standard(2)
-    lam, _ = lambda_y_proj(t2, 1)
+    lam, _ = _proj_lambdas(t2, 1)
     assert mc_conf_proj_recursion(t2, ProjFixedPoint((1,))) == lam
 
 

@@ -767,12 +767,12 @@ def test_exact_div_by_binomial_matches_oracle(p, f, q, multiple):
        st.booleans())
 def test_chain_division_stores_what_long_division_does(p, f, q, multiple):
     # the same quotient storage, keys in order, denominator and bound, or
-    # the same miss, and the heap is never entered
+    # the same miss, and long division is never entered
     f = _factor(f)
     p = _dividend(p, q, f, multiple)
-    want = laurent._heap_div(p, f)
-    with mock.patch.object(laurent, "_heap_div",
-                           side_effect=AssertionError("entered the heap")):
+    want = laurent._long_div(p, f)
+    with mock.patch.object(laurent, "_long_div", side_effect=AssertionError(
+            "entered long division")):
         got = _exact_div(p, f)
     assert (got is None) == (want is None)
     if got is not None:
