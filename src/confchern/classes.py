@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .laurent import RatFunc, VarUniverse
+from .laurent import LaurentPoly, RatFunc, VarUniverse
 from .partitions import SetPartition, partition_sum
 
 
@@ -21,7 +21,9 @@ def standard_universe(n: int, k: int = 0) -> VarUniverse:
 
 class TorusData:
     """Weight names of the diagonal torus on C^n, plus optional per-point
-    scaling weights."""
+    scaling weights.  Without scaling-weight names it is the torus T^n
+    alone, acting on every point through the same weights a_j: each b_a
+    is 1."""
 
     __slots__ = ("universe", "alpha", "beta")
 
@@ -53,6 +55,9 @@ class TorusData:
         return RatFunc.var(self.universe, self.alpha[i - 1])
 
     def b(self, a: int) -> RatFunc:
+        """The scaling weight of the a-th point, 1 over T^n alone."""
+        if not self.beta:
+            return self.one()
         return RatFunc.var(self.universe, self.beta[a - 1])
 
     @property
@@ -93,13 +98,15 @@ def mc_line_classes(w: RatFunc):
 
     Returns (origin, line, punctured) = (1 - 1/w, 1 + y/w, (1+y)/w), the
     last as line - origin.  Every local class below is built from these,
-    over the weights of a tangent space."""
-    if w.is_zero():
-        raise ValueError("a line class needs a nonzero weight")
-    inv = w.inverse()
-    origin = 1 - inv
-    line = 1 + RatFunc.var(w.universe, "y") * inv
-    return origin, line, line - origin
+    over the weights of a tangent space.  None of the three has a
+    denominator factor, so they are Laurent polynomials in the one inverse
+    of w, summed with no lift over factors and no trial division."""
+    if not w.is_unit():
+        raise ValueError("a line class needs a monomial weight, got %s" % w)
+    inv = w.inverse().num
+    origin = LaurentPoly.const(w.universe, 1) - inv
+    line = LaurentPoly.var(w.universe, "y") * inv + 1
+    return RatFunc(origin), RatFunc(line), RatFunc(line - origin)
 
 
 def lambda_classes(t: TorusData, weights):
@@ -215,8 +222,9 @@ def _orbit_block_weights(t: TorusData, k: int):
     it."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
-    if len(t.beta) < k:
-        raise ValueError("need at least k beta names")
+    # over T^n alone every b_a is 1; a scaled torus names each b_a
+    if 0 < len(t.beta) < k:
+        raise ValueError("need no beta names or at least k of them")
 
     # the Psi_{i,a} have monomial denominators.  The factors of the L_i
     # cancel only in the whole sum, so the L_i are lifted over their common
@@ -262,9 +270,10 @@ def _orbit_sum(t: TorusData, k: int, weight) -> RatFunc:
 
 def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     """Class of the space of k pairwise linearly independent nonzero vectors
-    in C^n, with per-point scaling weights b_1..b_k: the partition sum over
-    set partitions P of [k] of a(P) * prod_{B in P} w(B), with the block
-    weights w(B) of `_orbit_block_weights`."""
+    in C^n, with per-point scaling weights b_1..b_k (each 1 over T^n
+    alone): the partition sum over set partitions P of [k] of
+    a(P) * prod_{B in P} w(B), with the block weights w(B) of
+    `_orbit_block_weights`."""
     return _orbit_sum(t, k, _orbit_block_weights(t, k))
 
 

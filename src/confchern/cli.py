@@ -46,14 +46,35 @@ def _parse_list(option: str, text: str, convert) -> list:
                          % (option, text)) from None
 
 
-# The size ranges of all commands live in CLASS_RANGES, ORBIT_K_MAX and
-# CHECKS, and main holds each parameter to its range before anything is
-# built or run; the library checks only its domain.  The class commands
-# share one range, and the orbit classes take at most ORBIT_K_MAX[n] points:
-# the largest k at each n that builds within 30 s and 1 GB (README), where
-# the next k ran out of time or memory.
+# The size ranges of all commands live in CLASS_RANGES, ORBIT_K_MAX,
+# S2_N_MAX and CHECKS, and main holds each parameter to its range before
+# anything is built or run; the library checks only its domain.  The class
+# commands share one range.  The orbit classes take at most ORBIT_K_MAX[n]
+# points and `check s2` at most the order S2_N_MAX[n]: the largest value at
+# each n that runs within 30 s and 1 GB (README), where the next one ran
+# out of time or memory.  A range whose highest value is such a table
+# names it in place of a number.
 CLASS_RANGES = dict(n=(1, 6), k=(1, 7))
 ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
+S2_N_MAX = {1: 10, 2: 8, 3: 6}
+
+
+def _highest(hi, n):
+    """The highest value of a range at n, and the text that names n when
+    n lowers it: `hi` is a number or a table of highest values by n."""
+    if not isinstance(hi, dict):
+        return hi, ""
+    top = max(hi.values())
+    return hi[n], "" if hi[n] == top else " at --n %d" % n
+
+
+def _range_text(lo, hi) -> str:
+    """`lo..hi`, followed by the lower highest values of a table by n."""
+    if not isinstance(hi, dict):
+        return "%d..%d" % (lo, hi)
+    top = max(hi.values())
+    return "%d..%d; at most %s" % (lo, top, ", ".join(
+        "%d at n = %d" % (v, n) for n, v in hi.items() if v < top))
 
 # class command -> (help, builder); a builder maps (n, k) to the class, where
 # the k of conf-proj is the fixed point that main parses from --point, so
@@ -116,7 +137,7 @@ CHECKS = {
     "szeregi": (dict(N=(5, 1, 18)),
                 lambda args: check_partition_exp_identity(args.N)),
     "s1": (dict(N=(5, 1, 18)), lambda args: check_point_series(args.N)),
-    "s2": (dict(n=(2, 1, 3), N=(3, 1, 4)),
+    "s2": (dict(n=(2, 1, 3), N=(3, 1, S2_N_MAX)),
            lambda args: check_orbit_series(args.n, args.N)),
     "s3-point": (dict(N=(5, 1, 18)),
                  lambda args: check_point_series_ambient(args.N)),
@@ -158,18 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--point", type=str, required=True, help=k_range
                            + " comma-separated axis indices, e.g. 1,1,2")
         elif name.startswith("orbit"):
-            p.add_argument("--k", type=int, required=True, help=k_range
-                           + "; at most " + ", ".join(
-                               "%d at n = %d" % (k, n)
-                               for n, k in ORBIT_K_MAX.items()
-                               if k < CLASS_RANGES["k"][1]))
+            p.add_argument("--k", type=int, required=True,
+                           help=_range_text(CLASS_RANGES["k"][0], ORBIT_K_MAX))
         else:
             p.add_argument("--k", type=int, required=True, help=k_range)
         common(p)
 
     ranges = "".join("\n  %-13s " % name + "; ".join(
         "--%s %s" % (key, default)
-        + ("" if lo is None else " (%d..%d)" % (lo, hi))
+        + ("" if lo is None else " (%s)" % _range_text(lo, hi))
         for key, (default, lo, hi) in params.items())
         for name, (params, _) in CHECKS.items())
     p = sub.add_parser("check", help="run a verification suite",
@@ -202,7 +220,7 @@ def _admit(args):
                 setattr(args, key, params[key][0] if key in params else None)
             elif key not in params:
                 raise UsageError("%s does not take --%s" % (command, key))
-        sizes = [("--" + key, getattr(args, key), lo, hi, "")
+        sizes = [("--" + key, getattr(args, key), lo, hi)
                  for key, (_, lo, hi) in params.items() if lo is not None]
     else:
         command = args.command
@@ -216,14 +234,11 @@ def _admit(args):
         else:
             k = ("--k", args.k)
         lo, hi = CLASS_RANGES["k"]
-        where = ""
-        # an n out of range is refused first, so any k bound will do
-        if command.startswith("orbit") and ORBIT_K_MAX.get(args.n, hi) < hi:
-            hi, where = ORBIT_K_MAX[args.n], " at --n %d" % args.n
-        sizes = [("--n", args.n) + CLASS_RANGES["n"] + ("",),
-                 k + (lo, hi, where)]
-    # `where` names the parameter that set a range, if another one did
-    for option, value, lo, hi, where in sizes:
+        sizes = [("--n", args.n) + CLASS_RANGES["n"],
+                 k + (lo, ORBIT_K_MAX if command.startswith("orbit") else hi)]
+    # n comes first, so a table of highest values by n is read in range
+    for option, value, lo, hi in sizes:
+        hi, where = _highest(hi, args.n)
         if not lo <= value <= hi:
             raise UsageError("%s takes %s in %d..%d%s, got %d"
                              % (command, option, lo, hi, where, value))

@@ -737,11 +737,6 @@ def _normalize_den(den: LaurentPoly):
     return mono, den0 * c
 
 
-def _is_unit(rf: "RatFunc") -> bool:
-    """Whether rf is c X^k: one numerator term and no factors."""
-    return not rf._factors and len(rf.num._coeffs) == 1
-
-
 class RatFunc:
     """Quotient of Laurent polynomials with cross-multiplication equality.
 
@@ -842,6 +837,11 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def is_unit(self) -> bool:
+        """Whether this is a unit c X^k of the Laurent ring: one numerator
+        term and no factors."""
+        return not self._factors and len(self.num._coeffs) == 1
+
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -917,9 +917,9 @@ class RatFunc:
             if other is None:
                 return NotImplemented
         _check_same(self, other)
-        if _is_unit(other):
+        if other.is_unit():
             return RatFunc._make(self.num * other.num, self._factors)
-        if _is_unit(self):
+        if self.is_unit():
             return RatFunc._make(self.num * other.num, other._factors)
         merged = dict(self._factors)
         for f, power in other._factors.items():
@@ -948,7 +948,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDenominatorError("division by zero rational function")
-        if _is_unit(self):
+        if self.is_unit():
             return RatFunc._make(_unit_inverse(self.num), {})
         return RatFunc(self.den, self.num)
 

@@ -66,12 +66,13 @@ class TruncSeries:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
-            # a nonzero scalar scales each coefficient and is never lifted
-            # to a constant series; zero takes the general path, whose
-            # coefficients are fresh zeros
+        if isinstance(other, (int, Fraction, RatFunc)) and other:
+            # a nonzero scalar or rational function scales each nonzero
+            # coefficient and is never lifted to a constant series, whose
+            # product would add each scaled coefficient to a zero; zero
+            # takes the general path, whose coefficients are fresh zeros
             return TruncSeries(self.universe, self.order,
-                               [a * other for a in self.coeffs])
+                               [a * other if a else a for a in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -95,26 +96,47 @@ class TruncSeries:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def exp(self) -> "TruncSeries":
-        """exp of a series with zero constant term."""
-        if not self.coeffs[0].is_zero():
+        """exp of a series f with zero constant term, by the recurrence
+        of g = exp(f) read off t g' = (t f') g (Brent and Kung, J. ACM 25,
+        1978): k g_k = sum_{j=1..k} j f_j g_(k-j) with g_0 = 1.  That is
+        O(N^2) coefficient products, and the only divisions are by k."""
+        f = self.coeffs
+        if not f[0].is_zero():
             raise ValueError("exp needs zero constant term")
-        result = TruncSeries.const(self.universe, self.order, 1)
-        power = TruncSeries.const(self.universe, self.order, 1)
-        for m in range(1, self.order + 1):
-            power = power * self
-            result = result + Fraction(1, math.factorial(m)) * power
-        return result
+        df = [c * j for j, c in enumerate(f)]
+        g = [RatFunc.const(self.universe, 1)]
+        for k in range(1, self.order + 1):
+            g.append(_products_sum(self.universe, zip(g, df[k:0:-1]))
+                     * Fraction(1, k))
+        return TruncSeries(self.universe, self.order, g)
 
     def log1p(self) -> "TruncSeries":
-        """log(1 + self) for a series with zero constant term."""
-        if not self.coeffs[0].is_zero():
+        """log(1 + f) for a series f with zero constant term, by the
+        recurrence of L = log(1 + f) read off (1 + f) t L' = t f':
+        k L_k = k f_k - sum_{j=1..k-1} j L_j f_(k-j).  That is O(N^2)
+        coefficient products, and the only divisions are by k."""
+        f = self.coeffs
+        if not f[0].is_zero():
             raise ValueError("log1p needs zero constant term")
-        result = TruncSeries.const(self.universe, self.order, 0)
-        power = TruncSeries.const(self.universe, self.order, 1)
-        for m in range(1, self.order + 1):
-            power = power * self
-            result = result + Fraction((-1) ** (m - 1), m) * power
-        return result
+        minus_f = [-c for c in f]
+        # dl[k] = k L_k
+        dl = [f[0]]
+        for k in range(1, self.order + 1):
+            dl.append(_products_sum(self.universe, [(f[k], k)] + list(
+                zip(dl[1:], minus_f[k - 1:0:-1]))))
+        return TruncSeries(self.universe, self.order, [
+            c * Fraction(1, k) if k else c for k, c in enumerate(dl)])
+
+
+def _products_sum(universe: VarUniverse, pairs) -> RatFunc:
+    """sum a * b over the pairs, leaving out each pair with a zero factor:
+    a zero summand would still lift the sum over the factors of the other
+    and trial-divide it by them."""
+    acc = None
+    for a, b in pairs:
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return RatFunc.const(universe, 0) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +215,23 @@ def check_point_series_ambient(n_order: int) -> bool:
                                 lambda u: m * e ** (u - 1))
 
 
-def orbit_series(n: int, n_order: int) -> TruncSeries:
-    """Exponential series of the orbit-configuration classes, over the
-    weight universe (scaling weights specialized to 1)."""
+def _torus(n: int, n_order: int) -> TorusData:
+    """The torus T^n alone, over the universe of n weights and n_order
+    points: with no scaling-weight names, every b_a is 1, so no block
+    weight of an orbit class carries a b and none is substituted away."""
     t_data = TorusData.standard(n, k=n_order)
-    ones = {name: 1 for name in t_data.beta}
+    return TorusData(t_data.universe, t_data.alpha)
+
+
+def orbit_series(n: int, n_order: int) -> TruncSeries:
+    """Exponential series of the orbit-configuration classes over T^n
+    (unit scaling weights), over the weight universe."""
+    t_data = _torus(n, n_order)
     # over the Euler class prod_j (1 - 1/a_j)^k of the origin in (C^n)^k,
     # whose reciprocal is this one's k-th power
     recip = euler_reciprocal(t_data, [t_data.a(j) for j in range(1, n + 1)])
-    return _egf(t_data.universe, n_order, lambda k: mc_orbit_conf(
-        t_data, k).substitute(ones) * recip ** k)
+    return _egf(t_data.universe, n_order,
+                lambda k: mc_orbit_conf(t_data, k) * recip ** k)
 
 
 def _orbit_closed_form(n: int, n_order: int) -> TruncSeries:
@@ -234,12 +263,11 @@ def check_orbit_series(n: int, n_order: int) -> bool:
 
 
 def orbit_full_series(n: int, n_order: int) -> TruncSeries:
-    """Exponential series of the vanishing-allowed orbit classes (scaling
-    weights specialized to 1)."""
-    t_data = TorusData.standard(n, k=n_order)
-    ones = {name: 1 for name in t_data.beta}
+    """Exponential series of the vanishing-allowed orbit classes over T^n
+    (unit scaling weights)."""
+    t_data = _torus(n, n_order)
     return _egf(t_data.universe, n_order,
-                lambda k: mc_orbit_full(t_data, k).substitute(ones))
+                lambda k: mc_orbit_full(t_data, k))
 
 
 def check_orbit_full_series(n: int, n_order: int) -> bool:

@@ -12,8 +12,32 @@ from typing import List
 from confchern.classes import euler_reciprocal, mc_orbit_conf
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
+from confchern.series import TruncSeries
 
 ORDERED_CAP = 9
+
+
+def exp_by_powers(f):
+    """exp of a truncated series f with zero constant term as the sum of
+    its powers, sum_m f^m / m!: O(N^3) coefficient products, against
+    which `TruncSeries.exp` and its recurrence are checked."""
+    result = TruncSeries.const(f.universe, f.order, 1)
+    power = TruncSeries.const(f.universe, f.order, 1)
+    for m in range(1, f.order + 1):
+        power = power * f
+        result = result + Fraction(1, math.factorial(m)) * power
+    return result
+
+
+def log1p_by_powers(f):
+    """log(1 + f) of a truncated series f with zero constant term as the
+    sum of its powers, sum_m (-1)^(m-1) f^m / m."""
+    result = TruncSeries.const(f.universe, f.order, 0)
+    power = TruncSeries.const(f.universe, f.order, 1)
+    for m in range(1, f.order + 1):
+        power = power * f
+        result = result + Fraction((-1) ** (m - 1), m) * power
+    return result
 
 
 def parse_set_partition(k: int, text: str) -> SetPartition:

@@ -76,6 +76,16 @@ def test_line_classes_at_orbit_weights():
         mc_line_classes(RatFunc.const(u, 0))
 
 
+@pytest.mark.parametrize("weight", [
+    lambda t: t.a(1) + t.a(2), lambda t: 1 / (t.a(1) - 1),
+    lambda t: t.a(1) / (t.a(2) - 1), lambda t: RatFunc.const(t.universe, 0)],
+    ids=["binomial", "factor", "monomial-over-factor", "zero"])
+def test_line_classes_need_a_monomial_weight(weight):
+    t = TorusData.standard(2)
+    with pytest.raises(ValueError, match="needs a monomial weight"):
+        mc_line_classes(weight(t))
+
+
 def test_lambda_classes_of_the_origin():
     t1 = TorusData.standard(1)
     assert lambda_classes(t1, [t1.a(1)])[1] == 1 - 1 / t1.a(1)
@@ -217,10 +227,25 @@ def test_mc_orbit_conf_k1_additivity(n):
     assert got == lam - eu
 
 
-def test_mc_orbit_conf_needs_beta():
-    t = TorusData.standard(2)
-    with pytest.raises(ValueError):
-        mc_orbit_conf(t, 1)
+@pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
+def test_orbit_classes_refuse_a_partial_beta_list(build):
+    # a scaled torus names the weight of every point; one name for two
+    # points is neither that nor T^n alone
+    u = standard_universe(2, 2)
+    with pytest.raises(ValueError, match="no beta names or at least k"):
+        build(TorusData(u, ("a1", "a2"), ("b1",)), 2)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
+def test_orbit_classes_over_the_torus_alone(build, n, k):
+    # with no beta names every b_a is 1: the class is the scaled one at
+    # b = 1, built with no b in any weight
+    scaled = TorusData.standard(n, k=k)
+    torus = TorusData(scaled.universe, scaled.alpha)
+    assert torus.b(1) == 1
+    ones = {name: 1 for name in scaled.beta}
+    assert build(torus, k) == build(scaled, k).substitute(ones)
 
 
 def test_euler_point_beta():

@@ -18,7 +18,7 @@ from confchern.series import (PoleOrderError, TruncSeries, _partition_series,
                               orbit_full_series, orbit_series,
                               orbit_series_sides, residue_at,
                               residue_form_factor)
-from oracles import orbit_coefficient_expanded
+from oracles import exp_by_powers, log1p_by_powers, orbit_coefficient_expanded
 
 U = VarUniverse(("c", "y"))
 
@@ -78,7 +78,43 @@ def _poly_storage(p):
     return list(p._coeffs.items()), p._denom
 
 
-@pytest.mark.parametrize("c", [0, 1, 3, -2, Fraction(-5, 2)])
+def _dense_series(order):
+    """A series with zero constant term whose coefficients have binomial
+    denominator factors, shared and not, and whose t^1 coefficient is 0."""
+    cv, y = LaurentPoly.var(U, "c"), LaurentPoly.var(U, "y")
+    pool = [RatFunc(y + 2, cv - 1), RatFunc(cv * y - 3, (cv - 1) * (y + 1)),
+            RatFunc(LaurentPoly.const(U, Fraction(-1, 2)), cv + y),
+            RatFunc(cv ** 2 + y, (cv + 2) * (cv - 1)), RatFunc(3 * cv - y)]
+    return TruncSeries(U, order, [c_rf(0), c_rf(0)] + [
+        pool[k % len(pool)] for k in range(2, order + 1)])
+
+
+_EXP_LOG_CASES = {
+    "t": lambda N: TruncSeries.t(U, N),
+    "c*t": lambda N: RatFunc.var(U, "c") * TruncSeries.t(U, N),
+    "factor*t": lambda N: RatFunc(LaurentPoly.var(U, "y") + 1,
+                                  LaurentPoly.var(U, "c") - 1)
+    * TruncSeries.t(U, N),
+    "dense": _dense_series,
+    "dense+t": lambda N: _dense_series(N) + TruncSeries.t(U, N),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXP_LOG_CASES))
+@pytest.mark.parametrize("N", range(1, 8))
+def test_exp_and_log1p_match_the_power_sums(case, N):
+    # the O(N^2) recurrences against the sums of series powers
+    f = _EXP_LOG_CASES[case](N)
+    assert f.exp() == exp_by_powers(f)
+    assert f.log1p() == log1p_by_powers(f)
+
+
+# a rational function scales each coefficient too
+_FACTOR = RatFunc(LaurentPoly.var(U, "y") - 3 * LaurentPoly.var(U, "c"),
+                  (LaurentPoly.var(U, "c") + 2) * (LaurentPoly.var(U, "y") - 1))
+
+
+@pytest.mark.parametrize("c", [0, 1, 3, -2, Fraction(-5, 2), _FACTOR])
 def test_scalar_product_storage_is_the_constant_series_product(c):
     cv, y = LaurentPoly.var(U, "c"), LaurentPoly.var(U, "y")
     s = TruncSeries(U, 3, [
@@ -219,7 +255,8 @@ def test_orbit_series_matches_the_expanded_euler_class(n, N):
 
 
 def test_orbit_series_caps():
-    # the library keeps only the lower bounds; the CLI holds n <= 3, N <= 4
+    # the library keeps only the lower bounds; the CLI holds n <= 3 and
+    # N <= cli.S2_N_MAX[n]
     with pytest.raises(ValueError, match="order must be at least 1"):
         check_orbit_series(2, 0)
     with pytest.raises(ValueError, match="n must be at least 1"):
