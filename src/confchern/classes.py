@@ -6,10 +6,12 @@ weight names (a1..an, optionally b1..bk) and the class parameter y.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Sequence
 
 from .laurent import LaurentPoly, RatFunc, VarUniverse
-from .partitions import SetPartition, partition_sum
+from .partitions import SetPartition, block_size_sums, partition_sum
 
 
 def standard_universe(n: int, k: int = 0) -> VarUniverse:
@@ -212,40 +214,44 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     return acc
 
 
+def _lifted_fixed_point_factors(t: TorusData):
+    """The `fixed_point_factor`s L_i lifted over their common denominator,
+    as rational functions with no factor, and the reciprocal of that
+    denominator.  The factors of the L_i cancel only in a whole sum over
+    the fixed points, so a block weight sum_i L_i Psi_i is formed over the
+    lifted L_i with no factor, and its one product with the shared
+    reciprocal cancels them all."""
+    lifted, recip = RatFunc.over_common_den(
+        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
+    return [RatFunc(num) for num in lifted], recip
+
+
+def _psi(lines, i: int) -> RatFunc:
+    """Psi_i = prod_j psi_ij of one point, from the line classes of its n
+    weights: the punctured line class at j = i and the origin class
+    otherwise."""
+    return reduce(operator.mul, [punctured if j == i else origin for j, (
+        origin, _, punctured) in enumerate(lines, start=1)])
+
+
 def _orbit_block_weights(t: TorusData, k: int):
     """The block weight w(B) = sum_i L_i * prod_{a in B} Psi_{i,a} of the
     orbit classes, for the blocks B of [k], where L_i is the
-    `fixed_point_factor` at i and Psi_{i,a} = prod_j psi_ij(b_a a_j): the
-    punctured line class (1+y)/theta at j = i and the origin class
-    1 - 1/theta otherwise.  Each block's weight is built once for the life
-    of the returned function, so the sums over [k] and over [k - 1] share
-    it."""
+    `fixed_point_factor` at i and Psi_{i,a} = prod_j psi_ij(b_a a_j) of
+    `_psi`.  Each block's weight is built once for the life of the
+    returned function, so the sums over [k] and over [k - 1] share it."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
     # over T^n alone every b_a is 1; a scaled torus names each b_a
     if 0 < len(t.beta) < k:
         raise ValueError("need no beta names or at least k of them")
 
-    # the Psi_{i,a} have monomial denominators.  The factors of the L_i
-    # cancel only in the whole sum, so the L_i are lifted over their common
-    # denominator once: each w(B) is then a sum with no factor times the
-    # shared reciprocal, and that one product cancels them all
-    lifted, recip = RatFunc.over_common_den(
-        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
-    lifted = [RatFunc(num) for num in lifted]
+    lifted, recip = _lifted_fixed_point_factors(t)
     # the line classes of each weight b_a a_j, built once for all n rows
-    lines = {(a, j): mc_line_classes(t.b(a) * t.a(j))
-             for a in range(1, k + 1) for j in range(1, t.n + 1)}
-    psis = []
-    for i in range(1, t.n + 1):
-        row = {}
-        for a in range(1, k + 1):
-            acc = t.one()
-            for j in range(1, t.n + 1):
-                origin, _, punctured = lines[a, j]
-                acc = acc * (punctured if j == i else origin)
-            row[a] = acc
-        psis.append(row)
+    lines = {a: [mc_line_classes(t.b(a) * t.a(j))
+                 for j in range(1, t.n + 1)] for a in range(1, k + 1)}
+    psis = [{a: _psi(lines[a], i) for a in lines}
+            for i in range(1, t.n + 1)]
     built = {}
 
     def weight(block):
@@ -268,12 +274,34 @@ def _orbit_sum(t: TorusData, k: int, weight) -> RatFunc:
     return partition_sum(SetPartition(k, [range(1, k + 1)]), weight, t.one())
 
 
+def _torus_orbit_sums(t: TorusData, k: int) -> list:
+    """The orbit partition sums S_0..S_k over T^n alone, where every b_a is
+    1, so the block weight w(B) = sum_i L_i Psi_i^|B| depends only on |B|:
+    one weight per block size, with each running product L_i Psi_i^j one
+    product on from the last, summed by `block_size_sums`.  The Psi_i come
+    from the line classes of a_1..a_n alone."""
+    if k < 1:
+        raise ValueError("k must be at least 1, got %d" % k)
+    lifted, recip = _lifted_fixed_point_factors(t)
+    lines = [mc_line_classes(t.a(j)) for j in range(1, t.n + 1)]
+    psis = [_psi(lines, i) for i in range(1, t.n + 1)]
+    xs = []
+    for _ in range(k):
+        lifted = [prod * psi for prod, psi in zip(lifted, psis)]
+        xs.append(reduce(operator.add, lifted) * recip)
+    return block_size_sums(xs, t.one())
+
+
 def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     """Class of the space of k pairwise linearly independent nonzero vectors
     in C^n, with per-point scaling weights b_1..b_k (each 1 over T^n
     alone): the partition sum over set partitions P of [k] of
     a(P) * prod_{B in P} w(B), with the block weights w(B) of
-    `_orbit_block_weights`."""
+    `_orbit_block_weights`.  Over T^n alone the block weight depends only
+    on the block size, and the sum is `_torus_orbit_sums`; the partition
+    sum over the scaled torus is its definition-level oracle."""
+    if not t.beta:
+        return _torus_orbit_sums(t, k)[k]
     return _orbit_sum(t, k, _orbit_block_weights(t, k))
 
 
@@ -286,11 +314,20 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     Both parts are the partition sums of `mc_orbit_conf`, over [k] and
     over [k - 1], and they share one table of block weights: every block
     of [k - 1] is a block of [k].  The reciprocal Euler class for k points
-    is built once, and the one for k - 1 points is its prefix.
+    is built once, and the one for k - 1 points is its prefix.  Over T^n
+    alone both sums come from one run of `_torus_orbit_sums`, and the
+    reciprocal Euler classes are R^k and R^(k-1), R the reciprocal over
+    a_1..a_n.
 
     Right only at unit scaling weights b_a = 1: the stratum where the a-th
     vector vanishes belongs at the weights of the other points, and each of
     the k copies takes those of the first k - 1."""
+    if not t.beta:
+        sums = _torus_orbit_sums(t, k)
+        recip = euler_reciprocal(t, [t.a(j) for j in range(1, t.n + 1)])
+        main = sums[k] * recip ** k
+        prev = t.one() if k == 1 else sums[k - 1] * recip ** (k - 1)
+        return main + k * prev
     block_weight = _orbit_block_weights(t, k)
     # the weights of point a are the a-th run of n, so the reciprocal for
     # k points goes on from that for the first k - 1

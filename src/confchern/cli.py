@@ -20,7 +20,8 @@ from .classes import (ProjFixedPoint, TorusData, mc_conf_affine,
                       mc_orbit_full)
 from .partitions import (GRAPH_ORACLE_CAP, coefficient_a,
                          coefficient_a_graph_oracle, enumerate_partitions)
-from .series import (check_orbit_series, check_partition_exp_identity,
+from .series import (MAX_POLE_ORDER, check_orbit_full_series,
+                     check_orbit_series, check_partition_exp_identity,
                      check_point_series, check_point_series_ambient,
                      check_residue_form)
 from .limits import (check_bb_stability, lambda_quotient_sweep,
@@ -47,16 +48,20 @@ def _parse_list(option: str, text: str, convert) -> list:
 
 
 # The size ranges of all commands live in CLASS_RANGES, ORBIT_K_MAX,
-# S2_N_MAX and CHECKS, and main holds each parameter to its range before
-# anything is built or run; the library checks only its domain.  The class
-# commands share one range.  The orbit classes take at most ORBIT_K_MAX[n]
-# points and `check s2` at most the order S2_N_MAX[n]: the largest value at
-# each n that runs within 30 s and 1 GB (README), where the next one ran
-# out of time or memory.  A range whose highest value is such a table
-# names it in place of a number.
+# S2_N_MAX, S2_FULL_N_MAX and CHECKS, and main holds each parameter to its
+# range before anything is built or run; the library checks only its
+# domain.  The class commands share one range.  The orbit classes take at
+# most ORBIT_K_MAX[n] points, and `check s2` and `check s2-full` at most the
+# orders S2_N_MAX[n] and S2_FULL_N_MAX[n]: the largest value at each n that
+# runs within 30 s and 1 GB (README), where the next one ran out of time or
+# memory, and no order above the 18 of the other series checks.  A range
+# whose highest value is such a table names it in place of a number.
+# `check residue` takes the order N up to MAX_POLE_ORDER, the order of the
+# pole at z = 1 of its N-th term.
 CLASS_RANGES = dict(n=(1, 6), k=(1, 7))
 ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
-S2_N_MAX = {1: 10, 2: 8, 3: 6}
+S2_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
+S2_FULL_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
 
 
 def _highest(hi, n):
@@ -137,11 +142,13 @@ CHECKS = {
     "szeregi": (dict(N=(5, 1, 18)),
                 lambda args: check_partition_exp_identity(args.N)),
     "s1": (dict(N=(5, 1, 18)), lambda args: check_point_series(args.N)),
-    "s2": (dict(n=(2, 1, 3), N=(3, 1, S2_N_MAX)),
+    "s2": (dict(n=(2, 1, max(S2_N_MAX)), N=(3, 1, S2_N_MAX)),
            lambda args: check_orbit_series(args.n, args.N)),
+    "s2-full": (dict(n=(2, 1, max(S2_FULL_N_MAX)), N=(3, 1, S2_FULL_N_MAX)),
+                lambda args: check_orbit_full_series(args.n, args.N)),
     "s3-point": (dict(N=(5, 1, 18)),
                  lambda args: check_point_series_ambient(args.N)),
-    "residue": (dict(alphas=("2,3", None, None), N=(3, 1, 3)),
+    "residue": (dict(alphas=("2,3", None, None), N=(3, 1, MAX_POLE_ORDER)),
                 lambda args: check_residue_form(args.alphas, args.N)),
     "bb-stability": (dict(n=(3, 2, 4), k=(2, 1, 3)),
                      lambda args: check_bb_stability(args.n, args.k)),

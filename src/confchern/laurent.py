@@ -880,10 +880,18 @@ class RatFunc:
                                                      {0: 1}), merged)
 
     def _combine(self, other, op):
-        """op(self, other) over the common denominator, op add or sub."""
+        """op(self, other) over the common denominator, op add or sub.  A
+        zero operand gives the other one, negated for 0 - x, with no lift
+        over the other's factors and no trial division by them."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.is_zero():
+            _check_same(self, other)
+            return self
+        if self.is_zero():
+            _check_same(self, other)
+            return other if op is operator.add else -other
         (left, right), merged = RatFunc._lift((self, other))
         return RatFunc._make(op(left, right), merged)._reduced()
 

@@ -133,6 +133,26 @@ def enumerate_refinements(p0: SetPartition) -> List[SetPartition]:
             for choice in product(*per_block)]
 
 
+def block_size_sums(xs, one) -> list:
+    """S_0..S_N with S_m = sum_P a(P) prod_{B in P} x_|B|, P running over
+    the set partitions of [m], for the block-size weights xs = x_1..x_N in
+    the ring with unit `one`: `partition_sum` over [m] at a block weight
+    that depends only on the block size, in O(N^2) products.
+
+    S_m is summed by the block that holds the point m (the exponential
+    formula's proof, Stanley EC2 5.1): C(m-1, j-1) blocks of size j hold
+    it, each with a(B) = (-1)^(j-1) (j-1)!, and a is multiplicative over
+    blocks, so S_m = sum_j (-1)^(j-1) (m-1)!/(m-j)! x_j S_{m-j}, S_0 = 1."""
+    sums = [one]
+    for m in range(1, len(xs) + 1):
+        total = 0 * one
+        for j in range(1, m + 1):
+            a_sum = (-1) ** (j - 1) * math.perm(m - 1, j - 1)
+            total = total + xs[j - 1] * sums[m - j] * a_sum
+        sums.append(total)
+    return sums
+
+
 def partition_sum(p0: SetPartition, block_weight, one):
     """Sum over the refinements P of p0 of a(P) * prod_{B in P} w(B), where
     w = `block_weight` maps a block (a sorted tuple) into the ring with unit

@@ -12,6 +12,7 @@ from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
                       VarUniverse)
 from .classes import (TorusData, euler_reciprocal, fixed_point_factor,
                       mc_line_classes, mc_orbit_conf, mc_orbit_full)
+from .partitions import block_size_sums
 
 
 class TruncSeries:
@@ -155,20 +156,10 @@ def _egf(universe: VarUniverse, n_order: int, coeff) -> TruncSeries:
 
 def _partition_series(universe: VarUniverse, n_order: int, x) -> TruncSeries:
     """1 + sum_k (t^k/k!) S_k with S_k = sum_P a(P) prod_{B in P} x(|B|), P
-    running over the set partitions of [k], for a weight x of the block size.
-
-    S_k is summed by the block that holds the point k (the exponential
-    formula's proof, Stanley EC2 5.1): C(k-1, j-1) blocks of size j hold it,
-    each with a(B) = (-1)^(j-1) (j-1)!, and a is multiplicative over blocks,
-    so S_k = sum_j (-1)^(j-1) (k-1)!/(k-j)! x(j) S_{k-j} with S_0 = 1."""
-    xs = [None] + [x(j) for j in range(1, n_order + 1)]
-    sums = [RatFunc.const(universe, 1)]
-    for k in range(1, n_order + 1):
-        total = RatFunc.const(universe, 0)
-        for j in range(1, k + 1):
-            a_sum = (-1) ** (j - 1) * math.perm(k - 1, j - 1)
-            total = total + xs[j] * sums[k - j] * a_sum
-        sums.append(total)
+    running over the set partitions of [k], for a weight x of the block size,
+    by the last-point recursion of `block_size_sums`."""
+    sums = block_size_sums([x(j) for j in range(1, n_order + 1)],
+                           RatFunc.const(universe, 1))
     return _egf(universe, n_order, sums.__getitem__)
 
 

@@ -248,6 +248,53 @@ def test_orbit_classes_over_the_torus_alone(build, n, k):
     assert build(torus, k) == build(scaled, k).substitute(ones)
 
 
+def _torus(n, k):
+    """The torus T^n alone, over the universe of n weights and k points."""
+    scaled = TorusData.standard(n, k=k)
+    return TorusData(scaled.universe, scaled.alpha)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in range(1, 7)])
+def test_torus_orbit_classes_match_the_partition_sum(n, k):
+    # over T^n alone both classes are summed by block size; their
+    # definition is the sum over all set partitions of [k] at the block
+    # weights of every block, over the reciprocal Euler classes of the k n
+    # weights a_j, and the two store the same numerator terms and factors
+    # (in another order: the terms of a sum are added in another order)
+    t = _torus(n, k)
+    weight = classes._orbit_block_weights(t, k)
+    conf = partition_sum(_one_block(k), weight, t.one())
+    weights = [t.a(j) for _ in range(k) for j in range(1, n + 1)]
+    prev = t.one() if k == 1 else partition_sum(
+        _one_block(k - 1), weight, t.one()) * euler_reciprocal(t, weights[:-n])
+    full = conf * euler_reciprocal(t, weights) + k * prev
+    for got, want in ((mc_orbit_conf(t, k), conf), (mc_orbit_full(t, k), full)):
+        assert got == want
+        assert got.num == want.num and got._factors == want._factors
+
+
+@pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
+def test_torus_orbit_classes_run_no_partition_sum(build, monkeypatch):
+    # over T^n alone one weight per block size is built, from the line
+    # classes of a_1..a_n alone: 2 per L_i (n = 2), 2 for the Psi_i and,
+    # for the vanishing-allowed class, 2 for the reciprocal Euler class
+    lines = []
+    real_lines = classes.mc_line_classes
+
+    def no_sum(*args):
+        raise AssertionError("partition_sum called over T^n alone")
+
+    def recording_lines(w):
+        lines.append(w)
+        return real_lines(w)
+
+    monkeypatch.setattr(classes, "partition_sum", no_sum)
+    monkeypatch.setattr(classes, "mc_line_classes", recording_lines)
+    build(_torus(2, 5), 5)
+    assert len(lines) == (6 if build is mc_orbit_full else 4)
+
+
 def test_euler_point_beta():
     t = TorusData.standard(1, k=2)
     want = (1 - 1 / (t.b(1) * t.a(1))) * (1 - 1 / (t.b(2) * t.a(1)))
@@ -283,6 +330,13 @@ def test_fixed_point_factor(n):
 def test_orbit_classes_need_positive_k(build, k):
     with pytest.raises(ValueError, match="k must be at least 1, got %d" % k):
         build(TorusData.standard(2, k=2), k)
+
+
+@pytest.mark.parametrize("k", (0, -1))
+@pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
+def test_torus_orbit_classes_need_positive_k(build, k):
+    with pytest.raises(ValueError, match="k must be at least 1, got %d" % k):
+        build(_torus(2, 2), k)
 
 
 @pytest.mark.parametrize("alpha,beta,message", [

@@ -94,8 +94,9 @@ RANGES = [
     ("conf-proj", "n", 1, 6), ("conf-proj", "point", 1, 7),
     ("a-oracle", "k", 1, 6),
     ("szeregi", "N", 1, 18), ("s1", "N", 1, 18), ("s3-point", "N", 1, 18),
-    ("s2", "n", 1, 3), ("s2", "N", 1, 10),
-    ("residue", "N", 1, 3),
+    ("s2", "n", 1, 6), ("s2", "N", 1, 18),
+    ("s2-full", "n", 1, 6), ("s2-full", "N", 1, 18),
+    ("residue", "N", 1, 8),
     ("bb-stability", "n", 2, 4), ("bb-stability", "k", 1, 3),
     ("recursion", "n", 1, 6), ("recursion", "k", 1, 7),
     ("limits-props", "count", 1, 10000),
@@ -178,39 +179,49 @@ def test_orbit_k_range_by_n(command, capsys, monkeypatch):
         "%d at n = %d" % (k, n) for n, k in ORBIT_K_EDGES) in text
 
 
-# The largest order of `check s2` at each n, where it is below the 10 of
-# n = 1, written out like RANGES.
-S2_N_EDGES = [(2, 8), (3, 6)]
+# The largest order of `check s2` and `check s2-full` at each n, where it
+# is below the 18 of n = 1 and 2, written out like RANGES.
+S2_N_EDGES = [(3, 10), (4, 6), (5, 4), (6, 2)]
+S2_FULL_N_EDGES = [(3, 10), (4, 6), (5, 4), (6, 2)]
 
 
-def test_s2_order_range_by_n(capsys, monkeypatch):
-    # the largest N at each n reaches the runner, one more is refused
-    # before it runs, and --help names each of these edges
+def _series_order_edges(name, edges, capsys, monkeypatch):
+    """The largest N at each n reaches the runner, one more is refused
+    before it runs, and --help names each of these edges."""
     def stub(args):
         raise Reached(args.n, args.N)
 
-    monkeypatch.setitem(cli.CHECKS, "s2", (cli.CHECKS["s2"][0], stub))
-    for n, N in S2_N_EDGES:
-        argv = ["check", "--name", "s2", "--n", str(n), "--N", str(N)]
+    monkeypatch.setitem(cli.CHECKS, name, (cli.CHECKS[name][0], stub))
+    for n, N in edges:
+        argv = ["check", "--name", name, "--n", str(n), "--N", str(N)]
         with pytest.raises(Reached) as exc:
             cli.main(argv)
         assert exc.value.args == (n, N)
         argv[-1] = str(N + 1)
         assert run(argv, capsys) == (
-            2, "", "error: check s2 takes --N in 1..%d at --n %d, got %d\n"
-            % (N, n, N + 1))
+            2, "", "error: check %s takes --N in 1..%d at --n %d, got %d\n"
+            % (name, N, n, N + 1))
     with pytest.raises(SystemExit):
         cli.main(["check", "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert "--N 3 (1..10; at most " + ", ".join(
-        "%d at n = %d" % (N, n) for n, N in S2_N_EDGES) + ")" in text
+    rows = capsys.readouterr().out.splitlines()
+    row = next(r for r in rows if r.split()[:1] == [name])
+    assert "--N 3 (1..18; at most " + ", ".join(
+        "%d at n = %d" % (N, n) for n, N in edges) + ")" in row
+
+
+def test_s2_order_range_by_n(capsys, monkeypatch):
+    _series_order_edges("s2", S2_N_EDGES, capsys, monkeypatch)
+
+
+def test_s2_full_order_range_by_n(capsys, monkeypatch):
+    _series_order_edges("s2-full", S2_FULL_N_EDGES, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("argv,err", [
     (["check", "--name", "a-oracle", "--k", "0"],
      "error: check a-oracle takes --k in 1..6, got 0\n"),
     (["check", "--name", "s2", "--n", "0"],
-     "error: check s2 takes --n in 1..3, got 0\n"),
+     "error: check s2 takes --n in 1..6, got 0\n"),
     (["check", "--name", "bb-stability", "--n", "1"],
      "error: check bb-stability takes --n in 2..4, got 1\n"),
     (["check", "--name", "recursion", "--n", "2", "--k", "8"],

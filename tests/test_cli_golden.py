@@ -192,9 +192,15 @@ GOLDEN = """\
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 1 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 2 --N 3
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 3 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2 --n 4 --N 2
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2-full --n 1 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2-full --n 2 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2-full --n 3 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name s2-full --n 4 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas 2,3 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2 --N 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas=-2,1/2,3 --N 3
+0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name residue --alphas 2,3 --N 8
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 2 --k 2
 0 c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431 check --name bb-stability --n 4 --k 3
 0 573c3e560e3e1910805a353d82de46a1986cb96fffd55b986dcc4524314e34ed check --name recursion --n 2 --k 3
@@ -236,13 +242,25 @@ GOLDEN = """\
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s3-point --N 0
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s3-point --N 19
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 0 --N 1
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 4 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 7 --N 1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 1 --N 0
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 1 --N 11
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 2 --N 9
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 3 --N 7
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 1 --N 19
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 2 --N 19
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 3 --N 11
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 4 --N 7
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 5 --N 5
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2 --n 6 --N 3
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 0 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 7 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 1 --N 0
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 1 --N 19
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 2 --N 19
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 3 --N 11
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 4 --N 7
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 5 --N 5
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 6 --N 3
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 0
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 4
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 9
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 1 --k 1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 5 --k 1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 2 --k 0

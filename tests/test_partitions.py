@@ -7,8 +7,8 @@ from itertools import product
 
 import pytest
 
-from confchern.partitions import (SetPartition, coefficient_a,
-                                  coefficient_a_graph_oracle,
+from confchern.partitions import (SetPartition, block_size_sums,
+                                  coefficient_a, coefficient_a_graph_oracle,
                                   enumerate_partitions, enumerate_refinements,
                                   partition_sum)
 from oracles import (OrderedPartition, bell_number_oracle, connected_sum_b,
@@ -139,6 +139,19 @@ def test_partition_sum_weighs_each_block_once():
                for p in enumerate_partitions(4))
     assert partition_sum(p0, weight, Fraction(1)) == want
     assert len(calls) == len(set(calls)) == 15
+
+
+def test_block_size_sums_match_the_partition_sum():
+    # distinct primes as the block-size weights, so that no two products of
+    # weights coincide by accident: S_m is the sum over the partitions of [m]
+    xs = [Fraction(p) for p in (2, 3, 5, 7, 11, 13, 17)]
+    sums = block_size_sums(xs, Fraction(1))
+    assert sums[0] == 1 and len(sums) == len(xs) + 1
+    for m in range(1, len(xs) + 1):
+        want = partition_sum(SetPartition(m, [range(1, m + 1)]),
+                             lambda block: xs[len(block) - 1], Fraction(1))
+        assert sums[m] == want
+    assert block_size_sums([], Fraction(1)) == [1]
 
 
 def test_refinements_examples():

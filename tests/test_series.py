@@ -277,15 +277,39 @@ def test_orbit_full_series_small(n, N):
 
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 2), (2, 3)])
 def test_orbit_full_series_fails_on_a_negated_orbit_class(n, N, monkeypatch):
-    # the vanishing-allowed classes are built from the orbit classes' two
-    # partition sums, so a check that compared them with the series of
-    # those same sums would pass a wrong one; the closed form does not
-    # read them
-    def negated(p0, block_weight, one, _real=classes.partition_sum):
-        return _real(p0, block_weight, one) * -1
+    # the vanishing-allowed classes are built from the orbit classes S_k
+    # and S_(k-1) of one block-size recursion, so a check that compared
+    # them with the series of those same sums would pass a wrong one; the
+    # closed form does not read them
+    def negated(xs, one, _real=classes.block_size_sums):
+        sums = _real(xs, one)
+        return sums[:1] + [s * -1 for s in sums[1:]]
 
-    monkeypatch.setattr(classes, "partition_sum", negated)
+    monkeypatch.setattr(classes, "block_size_sums", negated)
     assert check_orbit_full_series(n, N) is False
+
+
+# two faults of the block-size recursion over T^n, each written as the
+# true recursion at changed weights: a(B) without its sign (-1)^(|B|-1),
+# and x_j read at the power Psi^(j-1) of the next smaller block
+_RECURSION_MUTANTS = {
+    "unsigned": lambda real: lambda xs, one: real(
+        [x * (-1) ** i for i, x in enumerate(xs)], one),
+    "power": lambda real: lambda xs, one: real(xs[:1] + xs[:-1], one),
+}
+
+
+@pytest.mark.parametrize("n,N", [(1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("check", (check_orbit_series,
+                                   check_orbit_full_series))
+@pytest.mark.parametrize("mutant", sorted(_RECURSION_MUTANTS))
+def test_orbit_series_checks_fail_on_a_faulty_recursion(mutant, check, n, N,
+                                                        monkeypatch):
+    # the orbit classes over T^n no longer run the partition sum, so the
+    # series checks are what catch a fault of the recursion that replaced it
+    monkeypatch.setattr(classes, "block_size_sums",
+                        _RECURSION_MUTANTS[mutant](classes.block_size_sums))
+    assert check(n, N) is False
 
 
 def test_orbit_full_literal_derivative_form_is_false():
