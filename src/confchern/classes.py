@@ -214,18 +214,6 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     return acc
 
 
-def _lifted_fixed_point_factors(t: TorusData):
-    """The `fixed_point_factor`s L_i lifted over their common denominator,
-    as rational functions with no factor, and the reciprocal of that
-    denominator.  The factors of the L_i cancel only in a whole sum over
-    the fixed points, so a block weight sum_i L_i Psi_i is formed over the
-    lifted L_i with no factor, and its one product with the shared
-    reciprocal cancels them all."""
-    lifted, recip = RatFunc.over_common_den(
-        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
-    return [RatFunc(num) for num in lifted], recip
-
-
 def _psi(lines, i: int) -> RatFunc:
     """Psi_i = prod_j psi_ij of one point, from the line classes of its n
     weights: the punctured line class at j = i and the origin class
@@ -234,113 +222,97 @@ def _psi(lines, i: int) -> RatFunc:
         origin, _, punctured) in enumerate(lines, start=1)])
 
 
-def _orbit_block_weights(t: TorusData, k: int):
-    """The block weight w(B) = sum_i L_i * prod_{a in B} Psi_{i,a} of the
-    orbit classes, for the blocks B of [k], where L_i is the
-    `fixed_point_factor` at i and Psi_{i,a} = prod_j psi_ij(b_a a_j) of
-    `_psi`.  Each block's weight is built once for the life of the
-    returned function, so the sums over [k] and over [k - 1] share it."""
+def _orbit_points(t: TorusData, k: int) -> list:
+    """The line classes of the n weights b_a a_j of each point a = 1..k,
+    built once: row a is `mc_line_classes` at b_a a_1, ..., b_a a_n.  Over
+    T^n alone every b_a is 1, so the k points share one row, built from
+    a_1..a_n."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
-    # over T^n alone every b_a is 1; a scaled torus names each b_a
+    # a scaled torus names the weight b_a of every point
     if 0 < len(t.beta) < k:
         raise ValueError("need no beta names or at least k of them")
+    rows = [[mc_line_classes(t.b(a) * t.a(j)) for j in range(1, t.n + 1)]
+            for a in range(1, (k if t.beta else 1) + 1)]
+    return rows if t.beta else rows * k
 
-    lifted, recip = _lifted_fixed_point_factors(t)
-    # the line classes of each weight b_a a_j, built once for all n rows
-    lines = {a: [mc_line_classes(t.b(a) * t.a(j))
-                 for j in range(1, t.n + 1)] for a in range(1, k + 1)}
-    psis = [{a: _psi(lines[a], i) for a in lines}
-            for i in range(1, t.n + 1)]
+
+def _orbit_sums(t: TorusData, lines):
+    """The orbit partition sums as a function of m = 0..k, k = len(lines):
+    S(m) = sum over set partitions P of [m] of a(P) prod_{B in P} w(B),
+    S(0) = 1, at the block weights w(B) = sum_i L_i prod_{a in B} Psi_{i,a},
+    L_i the `fixed_point_factor` at i and Psi_{i,a} the `_psi` of row a of
+    the `_orbit_points` table `lines`.
+
+    The factors of the L_i cancel only in a whole sum over the fixed
+    points, so each w(B) is summed over the L_i lifted to their common
+    denominator, with no factor, and its one product with the shared
+    reciprocal of that denominator cancels them all.  Over T^n alone w(B)
+    = sum_i L_i Psi_i^|B| depends only on |B|: one weight per block size,
+    each running product one product on from the last, summed by
+    `block_size_sums`.  With scaling weights each block's weight is built
+    once, so the sums over [k] and over [k - 1] share it, and S(m) is
+    `partition_sum`, the definition."""
+    lifted, recip = RatFunc.over_common_den(
+        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
+    lifted = [RatFunc(num) for num in lifted]
+    if not t.beta:
+        psis = [_psi(lines[0], i) for i in range(1, t.n + 1)]
+        xs = []
+        for _ in lines:
+            lifted = [prod * psi for prod, psi in zip(lifted, psis)]
+            xs.append(reduce(operator.add, lifted) * recip)
+        return block_size_sums(xs, t.one()).__getitem__
+    psis = [[_psi(row, i) for row in lines] for i in range(1, t.n + 1)]
     built = {}
 
     def weight(block):
-        w = built.get(block)
-        if w is None:
-            acc = RatFunc.const(t.universe, 0)
-            for prod, row in zip(lifted, psis):
-                for a in block:
-                    prod = prod * row[a]
-                acc = acc + prod
-            w = built[block] = acc * recip
-        return w
+        if block not in built:
+            built[block] = reduce(operator.add, [
+                reduce(operator.mul, [row[a - 1] for a in block], prod)
+                for prod, row in zip(lifted, psis)]) * recip
+        return built[block]
 
-    return weight
+    def sum_over(m):
+        if not m:
+            return t.one()
+        return partition_sum(SetPartition(m, [range(1, m + 1)]), weight,
+                             t.one())
 
-
-def _orbit_sum(t: TorusData, k: int, weight) -> RatFunc:
-    """The partition sum over set partitions P of [k] of
-    a(P) * prod_{B in P} w(B)."""
-    return partition_sum(SetPartition(k, [range(1, k + 1)]), weight, t.one())
-
-
-def _torus_orbit_sums(t: TorusData, k: int) -> list:
-    """The orbit partition sums S_0..S_k over T^n alone, where every b_a is
-    1, so the block weight w(B) = sum_i L_i Psi_i^|B| depends only on |B|:
-    one weight per block size, with each running product L_i Psi_i^j one
-    product on from the last, summed by `block_size_sums`.  The Psi_i come
-    from the line classes of a_1..a_n alone."""
-    if k < 1:
-        raise ValueError("k must be at least 1, got %d" % k)
-    lifted, recip = _lifted_fixed_point_factors(t)
-    lines = [mc_line_classes(t.a(j)) for j in range(1, t.n + 1)]
-    psis = [_psi(lines, i) for i in range(1, t.n + 1)]
-    xs = []
-    for _ in range(k):
-        lifted = [prod * psi for prod, psi in zip(lifted, psis)]
-        xs.append(reduce(operator.add, lifted) * recip)
-    return block_size_sums(xs, t.one())
+    return sum_over
 
 
 def mc_orbit_conf(t: TorusData, k: int) -> RatFunc:
     """Class of the space of k pairwise linearly independent nonzero vectors
     in C^n, with per-point scaling weights b_1..b_k (each 1 over T^n
-    alone): the partition sum over set partitions P of [k] of
-    a(P) * prod_{B in P} w(B), with the block weights w(B) of
-    `_orbit_block_weights`.  Over T^n alone the block weight depends only
-    on the block size, and the sum is `_torus_orbit_sums`; the partition
-    sum over the scaled torus is its definition-level oracle."""
-    if not t.beta:
-        return _torus_orbit_sums(t, k)[k]
-    return _orbit_sum(t, k, _orbit_block_weights(t, k))
+    alone): the partition sum S(k) of `_orbit_sums` over set partitions P
+    of [k] of a(P) * prod_{B in P} w(B)."""
+    return _orbit_sums(t, _orbit_points(t, k))(k)
 
 
 def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     """Localized class of the space of k vectors with pairwise distinct
     spanned lines where vectors are allowed to vanish: the strictly nonzero
     part plus k copies of the one-fewer-vector part, each over the Euler
-    class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1).
-
-    Both parts are the partition sums of `mc_orbit_conf`, over [k] and
-    over [k - 1], and they share one table of block weights: every block
-    of [k - 1] is a block of [k].  The reciprocal Euler class for k points
-    is built once, and the one for k - 1 points is its prefix.  Over T^n
-    alone both sums come from one run of `_torus_orbit_sums`, and the
-    reciprocal Euler classes are R^k and R^(k-1), R the reciprocal over
-    a_1..a_n.
+    class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1),
+    S(k) R_1...R_k + k S(k - 1) R_1...R_(k-1).  S is `_orbit_sums`, and R_a
+    is the reciprocal of the origin classes in row a of the
+    `_orbit_points` table, one origin class at a time, as
+    `euler_reciprocal` builds it.
 
     Right only at unit scaling weights b_a = 1: the stratum where the a-th
     vector vanishes belongs at the weights of the other points, and each of
     the k copies takes those of the first k - 1."""
-    if not t.beta:
-        sums = _torus_orbit_sums(t, k)
-        recip = euler_reciprocal(t, [t.a(j) for j in range(1, t.n + 1)])
-        main = sums[k] * recip ** k
-        prev = t.one() if k == 1 else sums[k - 1] * recip ** (k - 1)
-        return main + k * prev
-    block_weight = _orbit_block_weights(t, k)
-    # the weights of point a are the a-th run of n, so the reciprocal for
-    # k points goes on from that for the first k - 1
-    weights = [t.b(a) * t.a(j) for a in range(1, k + 1)
-               for j in range(1, t.n + 1)]
-    prev_recip = euler_reciprocal(t, weights[:-t.n])
-    recip = prev_recip * euler_reciprocal(t, weights[-t.n:])
-    main = _orbit_sum(t, k, block_weight) * recip
-    if k == 1:
-        prev = t.one()
-    else:
-        prev = _orbit_sum(t, k - 1, block_weight) * prev_recip
-    return main + k * prev
+    lines = _orbit_points(t, k)
+    sums = _orbit_sums(t, lines)
+    # prods[a] = R_1...R_a; the points of T^n share one row and its R_a
+    prods = [t.one()]
+    for a, row in enumerate(lines):
+        if not a or row is not lines[a - 1]:
+            recip = reduce(operator.truediv, [origin for origin, _, _ in row],
+                           t.one())
+        prods.append(prods[-1] * recip)
+    return sums(k) * prods[k] + k * (sums(k - 1) * prods[k - 1])
 
 
 def mc_conf_proj_recursion(t: TorusData, e_extended: ProjFixedPoint) -> RatFunc:

@@ -27,8 +27,6 @@ from .series import (MAX_POLE_ORDER, check_orbit_full_series,
 from .limits import (check_bb_stability, lambda_quotient_sweep,
                      run_limit_property_suite)
 
-RECURSION_CAP = 256  # the recursion check visits n^k fixed points
-
 # the exception types the library raises; on admitted input one of them is a
 # fault of the library, not of the command line
 LIBRARY_ERRORS = (ArithmeticError, LookupError, MemoryError, TypeError,
@@ -48,20 +46,21 @@ def _parse_list(option: str, text: str, convert) -> list:
 
 
 # The size ranges of all commands live in CLASS_RANGES, ORBIT_K_MAX,
-# S2_N_MAX, S2_FULL_N_MAX and CHECKS, and main holds each parameter to its
-# range before anything is built or run; the library checks only its
+# S2_N_MAX, RECURSION_K_MAX and CHECKS, and main holds each parameter to
+# its range before anything is built or run; the library checks only its
 # domain.  The class commands share one range.  The orbit classes take at
 # most ORBIT_K_MAX[n] points, and `check s2` and `check s2-full` at most the
-# orders S2_N_MAX[n] and S2_FULL_N_MAX[n]: the largest value at each n that
-# runs within 30 s and 1 GB (README), where the next one ran out of time or
-# memory, and no order above the 18 of the other series checks.  A range
-# whose highest value is such a table names it in place of a number.
-# `check residue` takes the order N up to MAX_POLE_ORDER, the order of the
-# pole at z = 1 of its N-th term.
+# order S2_N_MAX[n]: the largest value at each n that runs within 30 s and
+# 1 GB (README), where the next one ran out of time or memory, and no order
+# above the 18 of the other series checks.  `check recursion` visits all n^k
+# fixed points, and takes at most RECURSION_K_MAX[n] points, the largest k
+# with n^k <= 256.  A range whose highest value is such a table names it in
+# place of a number.  `check residue` takes the order N up to
+# MAX_POLE_ORDER, the order of the pole at z = 1 of its N-th term.
 CLASS_RANGES = dict(n=(1, 6), k=(1, 7))
 ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
 S2_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
-S2_FULL_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
+RECURSION_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 3}
 
 
 def _highest(hi, n):
@@ -114,7 +113,7 @@ def _check_a_oracle(args) -> bool:
 
 
 def _check_recursion(args) -> bool:
-    total = args.n ** args.k  # _admit has held n^k to RECURSION_CAP
+    total = args.n ** args.k
     t = TorusData.standard(args.n)
     bad = 0
     for tup in product(range(1, args.n + 1), repeat=args.k):
@@ -144,7 +143,7 @@ CHECKS = {
     "s1": (dict(N=(5, 1, 18)), lambda args: check_point_series(args.N)),
     "s2": (dict(n=(2, 1, max(S2_N_MAX)), N=(3, 1, S2_N_MAX)),
            lambda args: check_orbit_series(args.n, args.N)),
-    "s2-full": (dict(n=(2, 1, max(S2_FULL_N_MAX)), N=(3, 1, S2_FULL_N_MAX)),
+    "s2-full": (dict(n=(2, 1, max(S2_N_MAX)), N=(3, 1, S2_N_MAX)),
                 lambda args: check_orbit_full_series(args.n, args.N)),
     "s3-point": (dict(N=(5, 1, 18)),
                  lambda args: check_point_series_ambient(args.N)),
@@ -152,7 +151,7 @@ CHECKS = {
                 lambda args: check_residue_form(args.alphas, args.N)),
     "bb-stability": (dict(n=(3, 2, 4), k=(2, 1, 3)),
                      lambda args: check_bb_stability(args.n, args.k)),
-    "recursion": (dict(n=(3, *CLASS_RANGES["n"]), k=(3, *CLASS_RANGES["k"])),
+    "recursion": (dict(n=(3, *CLASS_RANGES["n"]), k=(3, 1, RECURSION_K_MAX)),
                   _check_recursion),
     "limits-props": (dict(seed=(0, None, None), count=(200, 1, 10000)),
                      _check_limits_props),
@@ -199,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (params, _) in CHECKS.items())
     p = sub.add_parser("check", help="run a verification suite",
                        formatter_class=argparse.RawDescriptionHelpFormatter,
-                       epilog="parameters of each check, default (range):%s\n"
-                       "recursion also takes n^k <= %d." % (ranges,
-                                                            RECURSION_CAP))
+                       epilog="parameters of each check, default (range):%s"
+                       % ranges)
     p.add_argument("--name", choices=tuple(CHECKS), required=True)
     for key in CHECK_PARAMS:
         if key == "alphas":
@@ -217,9 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _admit(args):
     """Fill in the defaults of a check, then refuse a parameter that the
     check does not read, any size outside its range and a malformed
-    fixed point, residue pole list or recursion size, before anything is
-    built or run.  Parses --point into args.k and --alphas in place.
-    Raises UsageError."""
+    fixed point or residue pole list, before anything is built or run.
+    Parses --point into args.k and --alphas in place.  Raises UsageError."""
     if args.command == "check":
         command, params = "check " + args.name, CHECKS[args.name][0]
         for key in CHECK_PARAMS:
@@ -256,9 +253,6 @@ def _admit(args):
         if (len(set(args.alphas)) != len(args.alphas)
                 or any(a in (0, 1) for a in args.alphas)):
             raise UsageError("alphas must be distinct and differ from 0 and 1")
-    if command == "check recursion" and args.n ** args.k > RECURSION_CAP:
-        raise UsageError("check recursion takes n^k <= %d, got %d^%d"
-                         % (RECURSION_CAP, args.n, args.k))
 
 
 def main(argv=None) -> int:

@@ -77,16 +77,10 @@ class TruncSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        zero = RatFunc.const(self.universe, 0)
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.universe, self.order, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(self.universe, self.order, [
+            _products_sum(self.universe, zip(a[:m + 1], b[m::-1]))
+            for m in range(self.order + 1)])
 
     __rmul__ = __mul__
 

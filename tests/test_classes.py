@@ -254,6 +254,26 @@ def _torus(n, k):
     return TorusData(scaled.universe, scaled.alpha)
 
 
+def _torus_block_weight(t):
+    """The orbit block weight over T^n alone by its definition, w(B) =
+    sum_i L_i Psi_i^|B|, with L_i the `fixed_point_factor` at i and Psi_i
+    the `_psi` of the line classes of a_1..a_n; the L_i are lifted over
+    their common denominator, so the sum over i is one lift and one
+    reduction, as the class builds it."""
+    lifted, recip = RatFunc.over_common_den(
+        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
+    lines = [mc_line_classes(t.a(j)) for j in range(1, t.n + 1)]
+    psis = [classes._psi(lines, i) for i in range(1, t.n + 1)]
+
+    def weight(block):
+        acc = RatFunc.const(t.universe, 0)
+        for num, psi in zip(lifted, psis):
+            acc = acc + RatFunc(num) * psi ** len(block)
+        return acc * recip
+
+    return weight
+
+
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
                                  for k in range(1, 7)])
 def test_torus_orbit_classes_match_the_partition_sum(n, k):
@@ -263,7 +283,7 @@ def test_torus_orbit_classes_match_the_partition_sum(n, k):
     # weights a_j, and the two store the same numerator terms and factors
     # (in another order: the terms of a sum are added in another order)
     t = _torus(n, k)
-    weight = classes._orbit_block_weights(t, k)
+    weight = _torus_block_weight(t)
     conf = partition_sum(_one_block(k), weight, t.one())
     weights = [t.a(j) for _ in range(k) for j in range(1, n + 1)]
     prev = t.one() if k == 1 else partition_sum(
@@ -277,8 +297,8 @@ def test_torus_orbit_classes_match_the_partition_sum(n, k):
 @pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
 def test_torus_orbit_classes_run_no_partition_sum(build, monkeypatch):
     # over T^n alone one weight per block size is built, from the line
-    # classes of a_1..a_n alone: 2 per L_i (n = 2), 2 for the Psi_i and,
-    # for the vanishing-allowed class, 2 for the reciprocal Euler class
+    # classes of a_1..a_n alone: 2 per L_i (n = 2) and 2 for the one row of
+    # the k points, whose origin classes give the reciprocal Euler class
     lines = []
     real_lines = classes.mc_line_classes
 
@@ -292,7 +312,22 @@ def test_torus_orbit_classes_run_no_partition_sum(build, monkeypatch):
     monkeypatch.setattr(classes, "partition_sum", no_sum)
     monkeypatch.setattr(classes, "mc_line_classes", recording_lines)
     build(_torus(2, 5), 5)
-    assert len(lines) == (6 if build is mc_orbit_full else 4)
+    assert len(lines) == 4
+
+
+def test_orbit_points_share_one_row_over_the_torus_alone():
+    # over T^n alone the k points hold one row of line classes, at a_1..a_n;
+    # a scaled torus holds one row per point, at b_a a_1..b_a a_n
+    t = _torus(2, 3)
+    torus = classes._orbit_points(t, 3)
+    assert len(torus) == 3 and all(row is torus[0] for row in torus)
+    assert [origin for origin, _, _ in torus[0]] \
+        == [1 - 1 / t.a(j) for j in (1, 2)]
+    t = TorusData.standard(2, k=3)
+    scaled = classes._orbit_points(t, 3)
+    assert len({id(row) for row in scaled}) == 3
+    assert [[line for _, line, _ in row] for row in scaled] == [
+        [1 + t.y / (t.b(a) * t.a(j)) for j in (1, 2)] for a in (1, 2, 3)]
 
 
 def test_euler_point_beta():
@@ -384,8 +419,9 @@ def test_orbit_full_stores_what_its_parts_compose(n, k):
 def test_orbit_full_builds_each_block_weight_once(monkeypatch):
     # the sums over [3] and over [2] read one table: each of the 7 blocks
     # of [3] gets one weight object, and the L_i are built once.  The line
-    # classes are built once per weight: 6 for the L_i, 9 for the Psi rows
-    # and 9 for the reciprocal over the 9 weights b_a a_j
+    # classes are built once per weight: 6 for the L_i and 9 for the rows of
+    # the 9 weights b_a a_j, which give both the Psi rows and the reciprocal
+    # Euler classes
     weights = {}
     factors = []
     lines = []
@@ -414,7 +450,7 @@ def test_orbit_full_builds_each_block_weight_once(monkeypatch):
     assert len(weights) == 7
     assert all(len(ids) == 1 for ids in weights.values())
     assert sorted(factors) == [1, 2, 3]
-    assert len(lines) == 24
+    assert len(lines) == 15
     lines.clear()
     mc_orbit_conf(TorusData.standard(3, k=3), 3)
     assert len(lines) == 15

@@ -2,6 +2,7 @@
 
 import json
 import re
+from itertools import product
 
 import pytest
 
@@ -182,7 +183,6 @@ def test_orbit_k_range_by_n(command, capsys, monkeypatch):
 # The largest order of `check s2` and `check s2-full` at each n, where it
 # is below the 18 of n = 1 and 2, written out like RANGES.
 S2_N_EDGES = [(3, 10), (4, 6), (5, 4), (6, 2)]
-S2_FULL_N_EDGES = [(3, 10), (4, 6), (5, 4), (6, 2)]
 
 
 def _series_order_edges(name, edges, capsys, monkeypatch):
@@ -214,7 +214,28 @@ def test_s2_order_range_by_n(capsys, monkeypatch):
 
 
 def test_s2_full_order_range_by_n(capsys, monkeypatch):
-    _series_order_edges("s2-full", S2_FULL_N_EDGES, capsys, monkeypatch)
+    _series_order_edges("s2-full", S2_N_EDGES, capsys, monkeypatch)
+
+
+def test_recursion_admits_at_most_256_fixed_points(capsys, monkeypatch):
+    # the k table by n admits exactly the sizes with n^k <= 256 fixed points
+    # inside the shared ranges
+    def stub(args):
+        raise Reached(args.n, args.k)
+
+    monkeypatch.setitem(cli.CHECKS, "recursion",
+                        (cli.CHECKS["recursion"][0], stub))
+    admitted = set()
+    for n, k in product(range(1, 7), range(1, 8)):
+        try:
+            code = run(["check", "--name", "recursion", "--n", str(n),
+                        "--k", str(k)], capsys)[0]
+        except Reached:
+            admitted.add((n, k))
+        else:
+            assert code == 2
+    assert admitted == {(n, k) for n in range(1, 7) for k in range(1, 8)
+                        if n ** k <= 256}
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -227,7 +248,7 @@ def test_s2_full_order_range_by_n(capsys, monkeypatch):
     (["check", "--name", "recursion", "--n", "2", "--k", "8"],
      "error: check recursion takes --k in 1..7, got 8\n"),
     (["check", "--name", "recursion", "--n", "5", "--k", "4"],
-     "error: check recursion takes n^k <= 256, got 5^4\n"),
+     "error: check recursion takes --k in 1..3 at --n 5, got 4\n"),
 ], ids=["a-oracle-k", "s2-n", "bb-stability-n", "recursion-k",
         "recursion-n-to-the-k"])
 def test_range_error_names_the_range(argv, err, capsys):
@@ -316,7 +337,7 @@ def test_usage_error_exit_2(argv, capsys):
     (["check", "--name", "residue", "--alphas=-2,1"],
      "error: alphas must be distinct and differ from 0 and 1\n"),
     (["check", "--name", "recursion", "--n", "3", "--k", "6"],
-     "error: check recursion takes n^k <= 256, got 3^6\n"),
+     "error: check recursion takes --k in 1..5 at --n 3, got 6\n"),
     (["conf-proj", "--n", "2", "--point", "1,3"],
      "error: fixed point index out of range\n"),
     (["conf-proj", "--n", "2", "--point", "0,1"],
