@@ -111,50 +111,61 @@ def mc_line_classes(w: RatFunc):
     return RatFunc(origin), RatFunc(line), RatFunc(line - origin)
 
 
+def _origin_reciprocal(origin: RatFunc) -> RatFunc:
+    """1/(1 - 1/w) = w/(w - 1), from the numerator of the origin class by
+    the RatFunc constructor: one denominator factor, the binomial w - 1
+    normalized, with no inverse and no trial division."""
+    return RatFunc(LaurentPoly.const(origin.universe, 1), origin.num)
+
+
 def lambda_classes(t: TorusData, weights):
     """The products over the weights w of the line classes 1 + y/w and of
     the origin classes 1 - 1/w: lambda_y and lambda_{-1} of the cotangent
     space at a fixed point with these tangent weights.  Over the weights
     a_j of C^n they are the class of C^n and the Euler class of its
     origin."""
-    lam_y = lam_m1 = t.one()
-    for w in weights:
-        origin, line, _ = mc_line_classes(w)
-        lam_y = lam_y * line
-        lam_m1 = lam_m1 * origin
-    return lam_y, lam_m1
+    lines = [mc_line_classes(w) for w in weights]
+    return (t.one().unreduced_product([line for _, line, _ in lines]),
+            t.one().unreduced_product([origin for origin, _, _ in lines]))
 
 
 def proj_tangent_weights(t: TorusData, i: int) -> list:
     """The weights a_j/a_i (j != i) of the tangent space of projective
-    space at the i-th fixed point."""
+    space at the i-th fixed point, each a product of two monomials."""
     if not 1 <= i <= t.n:
         raise ValueError("fixed point index out of range")
-    a_i = t.a(i)
-    return [t.a(j) / a_i for j in range(1, t.n + 1) if j != i]
+    inv_a_i = RatFunc.var(t.universe, t.alpha[i - 1], -1)
+    return [t.a(j) * inv_a_i for j in range(1, t.n + 1) if j != i]
+
+
+def _euler_reciprocal(t: TorusData, origins) -> RatFunc:
+    """prod w/(w - 1) over origin classes 1 - 1/w, one factor per class."""
+    return t.one().unreduced_product([_origin_reciprocal(origin)
+                                      for origin in origins])
 
 
 def euler_reciprocal(t: TorusData, weights) -> RatFunc:
     """The reciprocal of the Euler class prod_w (1 - 1/w) of monomial
-    weights w, built one origin class at a time as prod_w w / (w - 1).
-    Each binomial w - 1 stays a denominator factor of its own, so the
-    reciprocals over overlapping lists of weights share their factors."""
-    acc = t.one()
-    for w in weights:
-        acc = acc / mc_line_classes(w)[0]
-    return acc
+    weights w, prod_w w / (w - 1) from the numerators of the origin
+    classes.  Each binomial w - 1 stays a denominator factor of its own,
+    so the reciprocals over overlapping lists of weights share their
+    factors; no two of them can cancel, so none is trial-divided."""
+    return _euler_reciprocal(t, [mc_line_classes(w)[0] for w in weights])
 
 
 def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
     """lambda_y over lambda_{-1} of projective space at the i-th fixed
-    point, prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j), built one weight at
-    a time.  Each binomial 1 - a_i/a_j stays a denominator factor of its
-    own, which the factor at the j-th fixed point shares."""
-    acc = t.one()
+    point, prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j): the line classes
+    times the origin reciprocals, one weight at a time.  Each binomial
+    1 - a_i/a_j stays a denominator factor of its own, which the factor at
+    the j-th fixed point shares.  The line and origin classes are distinct
+    irreducible binomials, so no factor divides the numerator and none is
+    trial-divided."""
+    parts = []
     for w in proj_tangent_weights(t, i):
         origin, line, _ = mc_line_classes(w)
-        acc = acc * line / origin
-    return acc
+        parts += [line, _origin_reciprocal(origin)]
+    return t.one().unreduced_product(parts)
 
 
 def mc_conf_generic(mcB: RatFunc, euTM: RatFunc, k: int) -> RatFunc:
@@ -297,8 +308,7 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1),
     S(k) R_1...R_k + k S(k - 1) R_1...R_(k-1).  S is `_orbit_sums`, and R_a
     is the reciprocal of the origin classes in row a of the
-    `_orbit_points` table, one origin class at a time, as
-    `euler_reciprocal` builds it.
+    `_orbit_points` table, built as `euler_reciprocal` builds it.
 
     Right only at unit scaling weights b_a = 1: the stratum where the a-th
     vector vanishes belongs at the weights of the other points, and each of
@@ -309,8 +319,7 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     prods = [t.one()]
     for a, row in enumerate(lines):
         if not a or row is not lines[a - 1]:
-            recip = reduce(operator.truediv, [origin for origin, _, _ in row],
-                           t.one())
+            recip = _euler_reciprocal(t, [origin for origin, _, _ in row])
         prods.append(prods[-1] * recip)
     return sums(k) * prods[k] + k * (sums(k - 1) * prods[k - 1])
 

@@ -550,6 +550,13 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     divided over Z by f's own, exactly whenever the division over Q is
     (Gauss's lemma).
 
+    Evaluation at the point of ones, x = (1, ..., 1), is a ring map from
+    the Laurent ring, so f | p forces p(1..1) = 0 whenever f(1..1) = 0, as
+    for every a_i - a_j, a_i - 1 and b_a a_j - 1.  Those values are the
+    sums of the integer numerators, and a p whose sum is not 0 is a miss,
+    refuted before any exponent is unpacked; p's terms are summed only when
+    f's few sum to 0.
+
     A binomial f with an entry +-1 in the difference of its two exponents
     is divided in one synthetic pass (_chain_div) whenever its chain keys
     stay inside the packed digit range; every other factor goes to long
@@ -559,6 +566,8 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     [low(p), high(p) - high(f)] that holds the quotient's exponents.
     """
     fc = f._coeffs
+    if not sum(fc.values()) and sum(p._coeffs.values()):
+        return None
     if len(fc) == 2:
         u = p.universe
         top, bottom = fc.items()
@@ -935,6 +944,23 @@ class RatFunc:
         return RatFunc._make(self.num * other.num, merged)._reduced()
 
     __rmul__ = __mul__
+
+    def unreduced_product(self, others) -> "RatFunc":
+        """self times each of `others` in turn, with no trial division: the
+        numerators multiplied in order and the factor powers added.
+
+        The value is the product whatever the operands.  Where no factor
+        divides the running numerator, as for line classes 1 + y/w over
+        origin classes 1 - 1/w (distinct irreducible binomials), it stores
+        what the chain of `*` stores, without the divisions that miss."""
+        num = self.num
+        factors = dict(self._factors)
+        for other in others:
+            _check_same(self, other)
+            num = num * other.num
+            for f, power in other._factors.items():
+                factors[f] = factors.get(f, 0) + power
+        return RatFunc._make(num, factors)
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc) and isinstance(other, (int, Fraction)):

@@ -319,18 +319,40 @@ def residue_at(f: RatFunc, var: str, pole: Fraction) -> RatFunc:
     return c[-1]
 
 
-def residue_form_factor(universe: VarUniverse, alphas: Sequence[Fraction],
-                        u: int) -> RatFunc:
-    """The t^u coefficient of the residue-form integrand: a univariate
-    rational function of z with polynomial-in-y coefficients."""
+def _residue_weights(universe: VarUniverse,
+                     alphas: Sequence[Fraction]) -> RatFunc:
+    """The integrand weights prod_a (1 + y z/a)/(1 - z/a), the part of the
+    residue-form integrand that no t-degree changes."""
     y = RatFunc.var(universe, "y")
     z = RatFunc.var(universe, "z")
     weights = RatFunc.const(universe, 1)
     for a in alphas:
         weights = weights * (1 + y * z / a) / (1 - z / a)
-    core = Fraction((-1) ** (u - 1), u) * (1 + y) ** (u - 1) \
+    return weights
+
+
+def _residue_core(universe: VarUniverse, u: int) -> RatFunc:
+    """The t^u part of the residue-form integrand before its weights,
+    (-1)^(u-1)/u (1+y)^(u-1) / (z (z-1)^u)."""
+    y = RatFunc.var(universe, "y")
+    z = RatFunc.var(universe, "z")
+    return Fraction((-1) ** (u - 1), u) * (1 + y) ** (u - 1) \
         / (z * (z - 1) ** u)
-    return core * weights
+
+
+def residue_form_factor(universe: VarUniverse, alphas: Sequence[Fraction],
+                        u: int) -> RatFunc:
+    """The t^u coefficient of the residue-form integrand: a univariate
+    rational function of z with polynomial-in-y coefficients."""
+    return _residue_core(universe, u) * _residue_weights(universe, alphas)
+
+
+def _weight_pole_exponent(universe: VarUniverse, poles, u: int) -> RatFunc:
+    """The t^u coefficient of the orbit series exponent with the weights
+    specialized, sum_a (-1)^(u-1)/u c_a^u lam_a over the (c_a, lam_a) of
+    the weight poles, c_a = (1+y)/(a-1)."""
+    return sum((Fraction((-1) ** (u - 1), u) * c ** u * lam
+                for c, lam in poles), RatFunc.const(universe, 0))
 
 
 def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
@@ -348,8 +370,18 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
         raise ValueError("alphas must be distinct and differ from 0 and 1")
     universe = VarUniverse(("y", "z"))
     y = RatFunc.var(universe, "y")
+    # what no degree u changes: the weights, and at each weight pole a
+    # its c_a = (1+y)/(a-1) and lam_a = prod_{b!=a} (1 + (a/b) y)/(1 - a/b)
+    weights = _residue_weights(universe, alphas)
+    poles = []
+    for a in alphas:
+        lam = RatFunc.const(universe, 1)
+        for b in alphas:
+            if b != a:
+                lam = lam * (1 + (a / b) * y) / (1 - a / b)
+        poles.append(((1 + y) / (a - 1), lam))
     for u in range(1, n_order + 1):
-        f = residue_form_factor(universe, alphas, u)
+        f = _residue_core(universe, u) * weights
         res0 = residue_at(f, "z", Fraction(0))
         res1 = residue_at(f, "z", Fraction(1))
         res_alpha = sum((residue_at(f, "z", a) for a in alphas),
@@ -362,14 +394,6 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
         if not (res0 + res1 + res_alpha).is_zero():
             return False
         # (c) -sum of weight-pole residues = exponent of the orbit series
-        expect = RatFunc.const(universe, 0)
-        for a in alphas:
-            lam = RatFunc.const(universe, 1)
-            for b in alphas:
-                if b != a:
-                    lam = lam * (1 + (a / b) * y) / (1 - a / b)
-            expect = expect + Fraction((-1) ** (u - 1), u) \
-                * ((1 + y) / (a - 1)) ** u * lam
-        if -res_alpha != expect:
+        if -res_alpha != _weight_pole_exponent(universe, poles, u):
             return False
     return True

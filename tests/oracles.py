@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List
 
-from confchern.classes import euler_reciprocal, mc_orbit_conf
+from confchern.classes import euler_reciprocal, mc_line_classes, mc_orbit_conf
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 from confchern.series import TruncSeries
@@ -200,6 +200,41 @@ def ratfunc_storage(f: RatFunc):
     def poly(p):
         return list(p._coeffs.items()), p._denom, p._bound
     return poly(f.num), [(poly(g), power) for g, power in f._factors.items()]
+
+
+def proj_tangent_weights_by_division(t, i: int) -> list:
+    """`classes.proj_tangent_weights` by RatFunc division: a_j / a_i."""
+    return [t.a(j) / t.a(i) for j in range(1, t.n + 1) if j != i]
+
+
+def lambda_classes_by_products(t, weights):
+    """`classes.lambda_classes` as two chains of RatFunc products, each
+    reduced after every step."""
+    lam_y = lam_m1 = t.one()
+    for w in weights:
+        origin, line, _ = mc_line_classes(w)
+        lam_y = lam_y * line
+        lam_m1 = lam_m1 * origin
+    return lam_y, lam_m1
+
+
+def euler_reciprocal_by_division(t, weights) -> RatFunc:
+    """`classes.euler_reciprocal` by RatFunc division, one origin class
+    inverted and trial-divided at a time."""
+    acc = t.one()
+    for w in weights:
+        acc = acc / mc_line_classes(w)[0]
+    return acc
+
+
+def fixed_point_factor_by_division(t, i: int) -> RatFunc:
+    """`classes.fixed_point_factor` as the chain acc * line / origin over
+    the weights a_j/a_i, each step inverted and trial-divided."""
+    acc = t.one()
+    for w in proj_tangent_weights_by_division(t, i):
+        origin, line, _ = mc_line_classes(w)
+        acc = acc * line / origin
+    return acc
 
 
 def euler_point_beta(t, k: int) -> RatFunc:

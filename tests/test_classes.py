@@ -16,9 +16,11 @@ from confchern.classes import (ProjFixedPoint, TorusData, euler_reciprocal,
                                proj_tangent_weights, standard_universe)
 from confchern.laurent import RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
-from oracles import (euler_point_beta, mc_orbit_conf_pairwise,
+from oracles import (euler_point_beta, euler_reciprocal_by_division,
+                     fixed_point_factor_by_division,
+                     lambda_classes_by_products, mc_orbit_conf_pairwise,
                      mc_orbit_full_composed, mc_orbit_full_expanded,
-                     ratfunc_storage)
+                     proj_tangent_weights_by_division, ratfunc_storage)
 
 
 def _one_block(k):
@@ -344,7 +346,75 @@ def test_euler_reciprocal():
     # one binomial factor b_a a_j - 1 per weight
     assert sorted(len(f._coeffs) for f in got._factors) == [2] * 4
     t1 = TorusData.standard(1)
-    assert euler_reciprocal(t1, [t1.a(1)] * 3) == 1 / (1 - 1 / t1.a(1)) ** 3
+    cube = euler_reciprocal(t1, [t1.a(1)] * 3)
+    assert cube == 1 / (1 - 1 / t1.a(1)) ** 3
+    # a repeated weight is one factor at its multiplicity
+    assert list(cube._factors.values()) == [3]
+
+
+def _local_weight_lists(n):
+    """Weight lists of the local classes at n weights: the a_j, the scaled
+    b_a a_j of two points, a_1 three times over, and the tangent weights
+    a_j/a_i at each projective fixed point."""
+    t = TorusData.standard(n, k=2)
+    return t, ([[t.a(j) for j in range(1, n + 1)],
+                [t.b(a) * t.a(j) for a in (1, 2) for j in range(1, n + 1)],
+                [t.a(1)] * 3]
+               + [proj_tangent_weights(t, i) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_local_classes_store_what_division_stores(n):
+    # products of line classes and origin reciprocals, with no inverse and
+    # no trial division, store what the chains of RatFunc products and
+    # divisions store: numerator keys in order, denominators, bounds, and
+    # the factors in order with their powers
+    t, weight_lists = _local_weight_lists(n)
+    for i in range(1, n + 1):
+        assert [ratfunc_storage(w) for w in proj_tangent_weights(t, i)] \
+            == [ratfunc_storage(w)
+                for w in proj_tangent_weights_by_division(t, i)]
+        assert ratfunc_storage(fixed_point_factor(t, i)) \
+            == ratfunc_storage(fixed_point_factor_by_division(t, i))
+    for weights in weight_lists:
+        assert ratfunc_storage(euler_reciprocal(t, weights)) \
+            == ratfunc_storage(euler_reciprocal_by_division(t, weights))
+        assert [ratfunc_storage(c) for c in lambda_classes(t, weights)] \
+            == [ratfunc_storage(c)
+                for c in lambda_classes_by_products(t, weights)]
+    # each row's R_a of mc_orbit_full, from the scaled table
+    for a, row in enumerate(classes._orbit_points(t, 2), start=1):
+        weights = [t.b(a) * t.a(j) for j in range(1, n + 1)]
+        assert ratfunc_storage(classes._euler_reciprocal(
+            t, [origin for origin, _, _ in row])) \
+            == ratfunc_storage(euler_reciprocal_by_division(t, weights))
+
+
+def test_local_classes_try_no_division(monkeypatch):
+    calls = []
+    real_div, real_reduced = laurent._exact_div, RatFunc._reduced
+
+    def recording_div(p, f):
+        calls.append("_exact_div")
+        return real_div(p, f)
+
+    def recording_reduced(self):
+        calls.append("_reduced")
+        return real_reduced(self)
+
+    monkeypatch.setattr(laurent, "_exact_div", recording_div)
+    monkeypatch.setattr(RatFunc, "_reduced", recording_reduced)
+    for n in (1, 2, 3, 4):
+        t, weight_lists = _local_weight_lists(n)
+        for i in range(1, n + 1):
+            proj_tangent_weights(t, i)
+            fixed_point_factor(t, i)
+        for weights in weight_lists:
+            euler_reciprocal(t, weights)
+            lambda_classes(t, weights)
+        for row in classes._orbit_points(t, 2):
+            classes._euler_reciprocal(t, [origin for origin, _, _ in row])
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))

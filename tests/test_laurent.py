@@ -278,6 +278,20 @@ def _random_factored(seed, count=8):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_unreduced_product_is_the_product(seed):
+    # the value whatever the operands, cancelling factors included; a
+    # factor's power is the sum of the operands' powers
+    xs = _random_factored(seed) + list(_random_units(seed, count=3))
+    for x, y, z in zip(xs, xs[1:] + xs[:1], xs[2:] + xs[:2]):
+        got = x.unreduced_product([y, z])
+        assert got == x * y * z
+        for f in set(x._factors) | set(y._factors) | set(z._factors):
+            assert got._factors[f] == sum(v._factors.get(f, 0)
+                                          for v in (x, y, z))
+    assert x.unreduced_product([]) == x
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_unit_inverse_stores_what_the_constructor_builds(seed):
     for m in _random_units(seed):
         [(exps, c)] = m.num.terms.items()
@@ -596,6 +610,58 @@ def test_exact_div_none_iff_sympy_remainder(p, q, f, multiple):
     assert (_exact_div(p, f) is None) == (not rem.is_zero)
 
 
+# the factors of the local classes, which vanish at the point of ones
+W = VarUniverse(("a1", "a2", "a3", "b1", "y"))
+
+
+def _w(name, power=1):
+    return LaurentPoly.var(W, name, power)
+
+
+_VANISHING_AT_ONES = {
+    "a1-a2": _w("a1") - _w("a2"),
+    "a3-a1": _w("a3") - _w("a1"),
+    "a2-1": _w("a2") - 1,
+    "b1*a1-1": _w("b1") * _w("a1") - 1,
+    "b1*a3-1": _w("b1") * _w("a3") - 1,
+    "a1^2-a2^2": _w("a1", 2) - _w("a2", 2),
+}
+
+
+@st.composite
+def weight_polys(draw):
+    n_terms = draw(st.integers(min_value=1, max_value=5))
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(draw(_exp) for _ in W.names[:-1]) \
+            + (draw(st.integers(min_value=0, max_value=2)),)
+        terms[e] = terms.get(e, 0) + draw(_coeff)
+    p = LaurentPoly(W, terms)
+    assume(not p.is_zero())
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_VANISHING_AT_ONES)), weight_polys())
+def test_point_of_ones_never_refutes_a_true_quotient(name, q):
+    f = _normalize_den(_VANISHING_AT_ONES[name])[1]
+    assert _exact_div(q * f, f) == q
+
+
+@pytest.mark.parametrize("name", sorted(_VANISHING_AT_ONES))
+def test_point_of_ones_refutes_before_any_division(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("divided")
+
+    f = _normalize_den(_VANISHING_AT_ONES[name])[1]
+    q = _w("a1") * _w("a2", -1) + 5 * _w("y", 2) * _w("b1") - 1
+    monkeypatch.setattr(laurent, "_chain_div", refuse)
+    monkeypatch.setattr(laurent, "_long_div", refuse)
+    # each p(1..1) is not 0 while f(1..1) is
+    for p in (q * f + 1, q * f - Fraction(2, 3) * _w("a3", -2), q):
+        assert _exact_div(p, f) is None
+
+
 # -- integer storage against the definition ----------------------------------
 
 def _nonneg_in(name):
@@ -857,9 +923,10 @@ def test_exact_div_by_fixed_binomials(f):
 def test_exact_div_by_binomial_beyond_the_digit_range():
     # substituting a2 = a1^(EXP_LIMIT//2) into a2^3 takes a1's exponent
     # past EXP_LIMIT, and y = a2^(EXP_LIMIT//2) into y^8 carries a2's
-    # digit into a1's, where it meets a1 a2^-8
+    # digit into a1's, where it meets a1 a2^-8; each p vanishes at the
+    # point of ones, as f does, so the misses reach the division itself
     half = EXP_LIMIT // 2
-    pairs = [(lp("a2", 3) + 1, lp("a2") - lp("a1", half)),
+    pairs = [(lp("a2", 3) - 1, lp("a2") - lp("a1", half)),
              (lp("y", 8) - lp("a1") * lp("a2", -8), lp("y") - lp("a2", half))]
     for p, f in pairs:
         f = _normalize_den(f)[1]

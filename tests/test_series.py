@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confchern import classes
+from confchern import classes, series
 from confchern.classes import TorusData
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import coefficient_a, enumerate_partitions
@@ -461,6 +461,35 @@ def test_residue_form_factor_t1():
                                       ([Fraction(2), Fraction(3)], 2)])
 def test_residue_form(alphas, N):
     assert check_residue_form(alphas, N)
+
+
+def test_residue_form_fails_without_a_weight_pole(monkeypatch):
+    real = series._residue_weights
+    monkeypatch.setattr(series, "_residue_weights",
+                        lambda universe, alphas: real(universe, alphas[:-1]))
+    assert not check_residue_form([Fraction(2), Fraction(3)], 3)
+
+
+def test_residue_form_fails_at_one_power_too_few(monkeypatch):
+    def early(universe, poles, u):
+        return sum((Fraction((-1) ** (u - 1), u) * c ** (u - 1) * lam
+                    for c, lam in poles), RatFunc.const(universe, 0))
+
+    monkeypatch.setattr(series, "_weight_pole_exponent", early)
+    assert not check_residue_form([Fraction(2), Fraction(3)], 3)
+
+
+def test_residue_form_builds_its_weights_once(monkeypatch):
+    calls = []
+    real = series._residue_weights
+
+    def recording(universe, alphas):
+        calls.append(alphas)
+        return real(universe, alphas)
+
+    monkeypatch.setattr(series, "_residue_weights", recording)
+    assert check_residue_form([Fraction(2), Fraction(3)], 3)
+    assert calls == [[Fraction(2), Fraction(3)]]
 
 
 def test_residue_form_rejects_bad_alphas():
