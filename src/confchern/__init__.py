@@ -7,7 +7,7 @@ from .partitions import (SetPartition, coefficient_a,
                          coefficient_a_graph_oracle, enumerate_partitions,
                          enumerate_refinements)
 from .classes import (ProjFixedPoint, TorusData, lambda_classes,
-                      mc_conf_affine, mc_conf_generic, mc_conf_proj_at,
+                      lambda_ratio, mc_conf_affine, mc_conf_generic, mc_conf_proj_at,
                       mc_conf_proj_recursion, mc_conf_proj_refinement_sum,
                       mc_line_classes, mc_orbit_conf, mc_orbit_full,
                       standard_universe)

@@ -153,19 +153,24 @@ def euler_reciprocal(t: TorusData, weights) -> RatFunc:
     return _euler_reciprocal(t, [mc_line_classes(w)[0] for w in weights])
 
 
-def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
-    """lambda_y over lambda_{-1} of projective space at the i-th fixed
-    point, prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j): the line classes
-    times the origin reciprocals, one weight at a time.  Each binomial
-    1 - a_i/a_j stays a denominator factor of its own, which the factor at
-    the j-th fixed point shares.  The line and origin classes are distinct
-    irreducible binomials, so no factor divides the numerator and none is
-    trial-divided."""
+def lambda_ratio(universe: VarUniverse, weights) -> RatFunc:
+    """lambda_y over lambda_{-1} at a fixed point with these tangent
+    weights, prod_w (1 + y/w)/(1 - 1/w), and 1 for no weights: the line
+    classes times the origin reciprocals, one monomial weight at a time.
+    Each 1 - 1/w stays a denominator factor of its own.  Line and origin
+    classes are distinct irreducible binomials, so none is trial-divided."""
     parts = []
-    for w in proj_tangent_weights(t, i):
+    for w in weights:
         origin, line, _ = mc_line_classes(w)
         parts += [line, _origin_reciprocal(origin)]
-    return t.one().unreduced_product(parts)
+    return RatFunc.const(universe, 1).unreduced_product(parts)
+
+
+def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
+    """The `lambda_ratio` at the i-th fixed point of projective space,
+    prod_{j!=i} (1 + y a_i/a_j)/(1 - a_i/a_j), whose factor 1 - a_i/a_j
+    the one at the j-th fixed point shares."""
+    return lambda_ratio(t.universe, proj_tangent_weights(t, i))
 
 
 def mc_conf_generic(mcB: RatFunc, euTM: RatFunc, k: int) -> RatFunc:

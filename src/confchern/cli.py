@@ -174,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     k_range = "%d..%d" % CLASS_RANGES["k"]
 
-    def common(p):
-        p.add_argument("--output", choices=("text", "json"), default="text")
+    def common(p, text=None):
+        p.add_argument("--output", choices=("text", "json"), default="text",
+                       help=text)
 
     for name, (text, _) in CLASSES.items():
         p = sub.add_parser(name, help=text)
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated rationals, e.g. 2,1/2 or -2,3")
         else:
             p.add_argument("--" + key, type=int)
-    common(p)
+    common(p, "accepted; a check prints text whatever it says")
 
     return parser
 

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .laurent import (LaurentPoly, RatFunc, UniverseMismatchError,
                       VarUniverse)
-from .classes import (TorusData, euler_reciprocal, fixed_point_factor,
+from .classes import (TorusData, euler_reciprocal, lambda_ratio,
                       mc_line_classes, mc_orbit_conf, mc_orbit_full)
 from .partitions import block_size_sums
 
@@ -200,18 +200,10 @@ def check_point_series_ambient(n_order: int) -> bool:
                                 lambda u: m * e ** (u - 1))
 
 
-def _torus(n: int, n_order: int) -> TorusData:
-    """The torus T^n alone, over the universe of n weights and n_order
-    points: with no scaling-weight names, every b_a is 1, so no block
-    weight of an orbit class carries a b and none is substituted away."""
-    t_data = TorusData.standard(n, k=n_order)
-    return TorusData(t_data.universe, t_data.alpha)
-
-
 def orbit_series(n: int, n_order: int) -> TruncSeries:
-    """Exponential series of the orbit-configuration classes over T^n
-    (unit scaling weights), over the weight universe."""
-    t_data = _torus(n, n_order)
+    """Exponential series of the orbit-configuration classes over the torus
+    T^n alone (unit scaling weights), over (a_1..a_n, y)."""
+    t_data = TorusData.standard(n)
     # over the Euler class prod_j (1 - 1/a_j)^k of the origin in (C^n)^k,
     # whose reciprocal is this one's k-th power
     recip = euler_reciprocal(t_data, [t_data.a(j) for j in range(1, n + 1)])
@@ -219,20 +211,31 @@ def orbit_series(n: int, n_order: int) -> TruncSeries:
                 lambda k: mc_orbit_conf(t_data, k) * recip ** k)
 
 
-def _orbit_closed_form(n: int, n_order: int) -> TruncSeries:
-    """The closed form of the orbit series, prod_i (1 + c_i t)^(L_i) with
-    c_i = (1+y)/(a_i - 1), the punctured line class over the origin class
-    at a_i, and L_i the `fixed_point_factor` at i, as one exp of the summed
-    logarithms: exp(sum_i L_i log(1 + c_i t))."""
-    t_data = TorusData.standard(n, k=n_order)
-    universe = t_data.universe
+def _orbit_exponent(universe: VarUniverse, weights,
+                    n_order: int) -> TruncSeries:
+    """The exponent of the orbit series' closed form at monomial weights
+    w_i, sum_i L_i log(1 + c_i t): c_i = (1+y)/(w_i - 1), the punctured
+    line class over the origin class at w_i, and L_i the `lambda_ratio`
+    over the w_j/w_i (j != i).  At the weights a_1..a_n, L_i is the
+    `fixed_point_factor` at i."""
     t = TruncSeries.t(universe, n_order)
     log = TruncSeries.const(universe, n_order, 0)
-    for i in range(1, n + 1):
-        origin, _, punctured = mc_line_classes(t_data.a(i))
-        c_t = (punctured / origin) * t
-        log = log + fixed_point_factor(t_data, i) * c_t.log1p()
-    return log.exp()
+    for i, w in enumerate(weights):
+        origin, _, punctured = mc_line_classes(w)
+        inv = w.inverse()
+        ratio = lambda_ratio(universe, [v * inv for j, v in enumerate(weights)
+                                        if j != i])
+        log = log + ratio * ((punctured / origin) * t).log1p()
+    return log
+
+
+def _orbit_closed_form(n: int, n_order: int) -> TruncSeries:
+    """The closed form of the orbit series, prod_i (1 + c_i t)^(L_i), as
+    the exp of its `_orbit_exponent` at a_1..a_n."""
+    t_data = TorusData.standard(n)
+    return _orbit_exponent(t_data.universe,
+                           [t_data.a(i) for i in range(1, n + 1)],
+                           n_order).exp()
 
 
 def orbit_series_sides(n: int, n_order: int):
@@ -249,8 +252,8 @@ def check_orbit_series(n: int, n_order: int) -> bool:
 
 def orbit_full_series(n: int, n_order: int) -> TruncSeries:
     """Exponential series of the vanishing-allowed orbit classes over T^n
-    (unit scaling weights)."""
-    t_data = _torus(n, n_order)
+    (unit scaling weights), over (a_1..a_n, y)."""
+    t_data = TorusData.standard(n)
     return _egf(t_data.universe, n_order,
                 lambda k: mc_orbit_full(t_data, k))
 
@@ -322,37 +325,30 @@ def residue_at(f: RatFunc, var: str, pole: Fraction) -> RatFunc:
 def _residue_weights(universe: VarUniverse,
                      alphas: Sequence[Fraction]) -> RatFunc:
     """The integrand weights prod_a (1 + y z/a)/(1 - z/a), the part of the
-    residue-form integrand that no t-degree changes."""
-    y = RatFunc.var(universe, "y")
-    z = RatFunc.var(universe, "z")
-    weights = RatFunc.const(universe, 1)
-    for a in alphas:
-        weights = weights * (1 + y * z / a) / (1 - z / a)
-    return weights
+    residue-form integrand that no t-degree changes: the `lambda_ratio`
+    over the weights a/z."""
+    z_inv = RatFunc.var(universe, "z", -1)
+    return lambda_ratio(universe, [a * z_inv for a in alphas])
 
 
 def _residue_core(universe: VarUniverse, u: int) -> RatFunc:
     """The t^u part of the residue-form integrand before its weights,
-    (-1)^(u-1)/u (1+y)^(u-1) / (z (z-1)^u)."""
+    (-1)^(u-1)/u (1+y)^(u-1) / (z (z-1)^u).  Neither z nor z - 1 divides
+    the numerator, so none is trial-divided."""
     y = RatFunc.var(universe, "y")
     z = RatFunc.var(universe, "z")
-    return Fraction((-1) ** (u - 1), u) * (1 + y) ** (u - 1) \
-        / (z * (z - 1) ** u)
+    return (Fraction((-1) ** (u - 1), u) * (1 + y) ** (u - 1)) \
+        .unreduced_product([1 / (z * (z - 1) ** u)])
 
 
 def residue_form_factor(universe: VarUniverse, alphas: Sequence[Fraction],
                         u: int) -> RatFunc:
     """The t^u coefficient of the residue-form integrand: a univariate
-    rational function of z with polynomial-in-y coefficients."""
-    return _residue_core(universe, u) * _residue_weights(universe, alphas)
-
-
-def _weight_pole_exponent(universe: VarUniverse, poles, u: int) -> RatFunc:
-    """The t^u coefficient of the orbit series exponent with the weights
-    specialized, sum_a (-1)^(u-1)/u c_a^u lam_a over the (c_a, lam_a) of
-    the weight poles, c_a = (1+y)/(a-1)."""
-    return sum((Fraction((-1) ** (u - 1), u) * c ** u * lam
-                for c, lam in poles), RatFunc.const(universe, 0))
+    rational function of z with polynomial-in-y coefficients.  No factor z,
+    z - 1 or z - a of one part divides the other's numerator, (1+y)^(u-1)
+    or prod_a (1 + y z/a), so the parts are not trial-divided."""
+    return _residue_core(universe, u).unreduced_product(
+        [_residue_weights(universe, alphas)])
 
 
 def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
@@ -361,7 +357,7 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
     (a) the residue at z=0 reproduces log(1 - t(1+y))/(1+y) termwise,
     (b) residues over all finite poles {0, 1, alpha_i} sum to zero,
     (c) minus the sum of residues at the alpha_i equals the exponent of the
-        orbit generating series with the weights specialized numerically.
+        orbit generating series, `_orbit_exponent` at the weights alpha_i.
     """
     if n_order < 1:
         raise ValueError("order must be at least 1, got %d" % n_order)
@@ -370,18 +366,13 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
         raise ValueError("alphas must be distinct and differ from 0 and 1")
     universe = VarUniverse(("y", "z"))
     y = RatFunc.var(universe, "y")
-    # what no degree u changes: the weights, and at each weight pole a
-    # its c_a = (1+y)/(a-1) and lam_a = prod_{b!=a} (1 + (a/b) y)/(1 - a/b)
+    # what no degree u changes: the weights, and the orbit series exponent
+    # at the constant weights alpha
     weights = _residue_weights(universe, alphas)
-    poles = []
-    for a in alphas:
-        lam = RatFunc.const(universe, 1)
-        for b in alphas:
-            if b != a:
-                lam = lam * (1 + (a / b) * y) / (1 - a / b)
-        poles.append(((1 + y) / (a - 1), lam))
+    exponent = _orbit_exponent(
+        universe, [RatFunc.const(universe, a) for a in alphas], n_order)
     for u in range(1, n_order + 1):
-        f = _residue_core(universe, u) * weights
+        f = _residue_core(universe, u).unreduced_product([weights])
         res0 = residue_at(f, "z", Fraction(0))
         res1 = residue_at(f, "z", Fraction(1))
         res_alpha = sum((residue_at(f, "z", a) for a in alphas),
@@ -394,6 +385,6 @@ def check_residue_form(alphas: Sequence[Fraction], n_order: int) -> bool:
         if not (res0 + res1 + res_alpha).is_zero():
             return False
         # (c) -sum of weight-pole residues = exponent of the orbit series
-        if -res_alpha != _weight_pole_exponent(universe, poles, u):
+        if -res_alpha != exponent.coeffs[u]:
             return False
     return True

@@ -237,6 +237,54 @@ def fixed_point_factor_by_division(t, i: int) -> RatFunc:
     return acc
 
 
+def residue_weights_by_division(universe, alphas) -> RatFunc:
+    """`series._residue_weights` by RatFunc division: the product over the
+    poles a of (1 + y z/a)/(1 - z/a), each factor inverted and
+    trial-divided."""
+    y = RatFunc.var(universe, "y")
+    z = RatFunc.var(universe, "z")
+    weights = RatFunc.const(universe, 1)
+    for a in alphas:
+        weights = weights * (1 + y * z / a) / (1 - z / a)
+    return weights
+
+
+def residue_form_factor_by_division(universe, alphas, u: int) -> RatFunc:
+    """`series.residue_form_factor` by RatFunc division:
+    (-1)^(u-1)/u (1+y)^(u-1) / (z (z-1)^u) times
+    `residue_weights_by_division`."""
+    y = RatFunc.var(universe, "y")
+    z = RatFunc.var(universe, "z")
+    core = Fraction((-1) ** (u - 1), u) * (1 + y) ** (u - 1) \
+        / (z * (z - 1) ** u)
+    return core * residue_weights_by_division(universe, alphas)
+
+
+def weight_pole_lambda(universe, alphas, a) -> RatFunc:
+    """lam_a = prod_{b != a} (1 + (a/b) y)/(1 - a/b), lambda_y over
+    lambda_{-1} at the weight pole a of the residue form."""
+    y = RatFunc.var(universe, "y")
+    lam = RatFunc.const(universe, 1)
+    for b in alphas:
+        if b != a:
+            lam = lam * (1 + (a / b) * y) / (1 - a / b)
+    return lam
+
+
+def weight_pole_c(universe, a) -> RatFunc:
+    """c_a = (1+y)/(a-1), the punctured line class over the origin class at
+    the constant weight a."""
+    return (1 + RatFunc.var(universe, "y")) / (a - 1)
+
+
+def weight_pole_exponent(universe, alphas, u: int) -> RatFunc:
+    """The t^u coefficient of the orbit series exponent at the constant
+    weights alphas, sum_a (-1)^(u-1)/u c_a^u lam_a."""
+    return sum((Fraction((-1) ** (u - 1), u) * weight_pole_c(universe, a) ** u
+                * weight_pole_lambda(universe, alphas, a) for a in alphas),
+               RatFunc.const(universe, 0))
+
+
 def euler_point_beta(t, k: int) -> RatFunc:
     """Euler class of the origin in (C^n)^k with weights b_a * a_j,
     expanded: prod_{a, j} (1 - 1/(b_a a_j))."""

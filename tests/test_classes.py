@@ -9,7 +9,7 @@ import pytest
 from confchern import classes, cli, laurent
 from confchern.classes import (ProjFixedPoint, TorusData, euler_reciprocal,
                                fixed_point_factor, lambda_classes,
-                               mc_conf_affine, mc_conf_generic,
+                               lambda_ratio, mc_conf_affine, mc_conf_generic,
                                mc_conf_proj_at, mc_conf_proj_recursion,
                                mc_conf_proj_refinement_sum, mc_line_classes,
                                mc_orbit_conf, mc_orbit_full,
@@ -415,6 +415,12 @@ def test_local_classes_try_no_division(monkeypatch):
         for row in classes._orbit_points(t, 2):
             classes._euler_reciprocal(t, [origin for origin, _, _ in row])
     assert calls == []
+
+
+def test_lambda_ratio_of_no_weights_is_one():
+    u = standard_universe(2)
+    assert ratfunc_storage(lambda_ratio(u, [])) \
+        == ratfunc_storage(RatFunc.const(u, 1))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))

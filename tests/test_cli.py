@@ -395,6 +395,16 @@ def test_output_accepted_by_every_check(capsys, monkeypatch):
         assert (code, err) == (0, "")
 
 
+def test_check_prints_text_whatever_output_says(capsys):
+    for output in ("text", "json"):
+        assert run(["check", "--name", "s1", "--N", "2", "--output", output],
+                   capsys) == (0, "PASS\n", "")
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    assert "--output {text,json} accepted; a check prints text whatever it " \
+        "says" in " ".join(capsys.readouterr().out.split())
+
+
 def test_unknown_check_name_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["check", "--name", "bogus"], capsys)

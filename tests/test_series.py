@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confchern import classes, series
-from confchern.classes import TorusData
+from confchern import classes, laurent, series
+from confchern.classes import TorusData, lambda_ratio, mc_line_classes
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import coefficient_a, enumerate_partitions
 from confchern.series import (PoleOrderError, TruncSeries, _partition_series,
@@ -18,7 +18,10 @@ from confchern.series import (PoleOrderError, TruncSeries, _partition_series,
                               orbit_full_series, orbit_series,
                               orbit_series_sides, residue_at,
                               residue_form_factor)
-from oracles import exp_by_powers, log1p_by_powers, orbit_coefficient_expanded
+from oracles import (exp_by_powers, log1p_by_powers, orbit_coefficient_expanded,
+                     ratfunc_storage, residue_form_factor_by_division,
+                     residue_weights_by_division, weight_pole_c,
+                     weight_pole_exponent, weight_pole_lambda)
 
 U = VarUniverse(("c", "y"))
 
@@ -247,7 +250,7 @@ def test_orbit_series_matches_the_expanded_euler_class(n, N):
     # the same value and the same expanded denominator as dividing each
     # class by the expanded euler_point
     got = orbit_series(n, N)
-    t = TorusData.standard(n, k=N)
+    t = TorusData.standard(n)
     for k in range(1, N + 1):
         want = orbit_coefficient_expanded(t, k) * Fraction(1, math.factorial(k))
         assert got.coeffs[k] == want
@@ -458,7 +461,8 @@ def test_residue_form_factor_t1():
 
 
 @pytest.mark.parametrize("alphas,N", [([Fraction(2)], 2),
-                                      ([Fraction(2), Fraction(3)], 2)])
+                                      ([Fraction(2), Fraction(3)], 2),
+                                      ([], 3)])
 def test_residue_form(alphas, N):
     assert check_residue_form(alphas, N)
 
@@ -471,11 +475,37 @@ def test_residue_form_fails_without_a_weight_pole(monkeypatch):
 
 
 def test_residue_form_fails_at_one_power_too_few(monkeypatch):
-    def early(universe, poles, u):
-        return sum((Fraction((-1) ** (u - 1), u) * c ** (u - 1) * lam
-                    for c, lam in poles), RatFunc.const(universe, 0))
+    # an exponent whose t^u coefficient takes c_a^(u-1) in place of c_a^u
+    alphas = [Fraction(2), Fraction(3)]
 
-    monkeypatch.setattr(series, "_weight_pole_exponent", early)
+    def early(universe, weights, n_order):
+        return TruncSeries(universe, n_order, [RatFunc.const(universe, 0)] + [
+            sum((Fraction((-1) ** (u - 1), u)
+                 * weight_pole_c(universe, a) ** (u - 1)
+                 * weight_pole_lambda(universe, alphas, a) for a in alphas),
+                RatFunc.const(universe, 0))
+            for u in range(1, n_order + 1)])
+
+    monkeypatch.setattr(series, "_orbit_exponent", early)
+    assert not check_residue_form(alphas, 3)
+
+
+def test_orbit_checks_fail_without_the_last_exponent_term(monkeypatch):
+    # s2, s2-full and the residue check share one exponent, so each fails
+    # when it loses the term L_n log(1 + c_n t) of its last weight
+    real = series._orbit_exponent
+
+    def without_last(universe, weights, n_order):
+        w = weights[-1]
+        origin, _, punctured = mc_line_classes(w)
+        ratio = lambda_ratio(universe, [v * w.inverse() for v in weights[:-1]])
+        last = ratio * ((punctured / origin)
+                        * TruncSeries.t(universe, n_order)).log1p()
+        return real(universe, weights, n_order) + last * -1
+
+    monkeypatch.setattr(series, "_orbit_exponent", without_last)
+    assert not check_orbit_series(2, 3)
+    assert not check_orbit_full_series(2, 3)
     assert not check_residue_form([Fraction(2), Fraction(3)], 3)
 
 
@@ -490,6 +520,61 @@ def test_residue_form_builds_its_weights_once(monkeypatch):
     monkeypatch.setattr(series, "_residue_weights", recording)
     assert check_residue_form([Fraction(2), Fraction(3)], 3)
     assert calls == [[Fraction(2), Fraction(3)]]
+
+
+RESIDUE_POLE_SETS = [[Fraction(a) for a in poles] for poles in (
+    (2,), (2, 3), (-2, Fraction(1, 2), 3), (2, 3, 5, 7), (-1, 2))]
+
+
+@pytest.mark.parametrize("alphas", RESIDUE_POLE_SETS)
+def test_residue_integrand_stores_what_division_stores(alphas):
+    # the lambda ratio over the weights a/z, and the core times it with no
+    # trial division, store what the chains of RatFunc divisions store
+    assert ratfunc_storage(series._residue_weights(ZU, alphas)) \
+        == ratfunc_storage(residue_weights_by_division(ZU, alphas))
+    for u in range(1, 6):
+        assert ratfunc_storage(residue_form_factor(ZU, alphas, u)) \
+            == ratfunc_storage(residue_form_factor_by_division(ZU, alphas, u))
+
+
+def test_residue_integrand_tries_no_division(monkeypatch):
+    calls = []
+    real = laurent._exact_div
+
+    def recording(p, f):
+        calls.append(f)
+        return real(p, f)
+
+    monkeypatch.setattr(laurent, "_exact_div", recording)
+    for alphas in RESIDUE_POLE_SETS:
+        for u in range(1, 6):
+            residue_form_factor(ZU, alphas, u)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alphas", RESIDUE_POLE_SETS)
+def test_orbit_exponent_at_constant_weights(alphas):
+    # sum_a (-1)^(u-1)/u c_a^u lam_a at each degree u <= 6
+    exponent = series._orbit_exponent(
+        ZU, [RatFunc.const(ZU, a) for a in alphas], 6)
+    assert exponent.coeffs[0] == 0
+    for u in range(1, 7):
+        assert exponent.coeffs[u] == weight_pole_exponent(ZU, alphas, u)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_orbit_exponent_at_a_rational_point(n):
+    # the symbolic exponent over a_1..a_n, evaluated at a point, is the
+    # exponent at the point's constant weights
+    t = TorusData.standard(n)
+    point = [Fraction(2), Fraction(-1, 3), Fraction(5, 2)][:n]
+    symbolic = series._orbit_exponent(
+        t.universe, [t.a(i) for i in range(1, n + 1)], 4)
+    at_point = series._orbit_exponent(
+        t.universe, [RatFunc.const(t.universe, a) for a in point], 4)
+    bindings = dict(zip(t.alpha, point))
+    assert [c.substitute(bindings) for c in symbolic.coeffs] \
+        == at_point.coeffs
 
 
 def test_residue_form_rejects_bad_alphas():
