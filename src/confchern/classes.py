@@ -62,6 +62,15 @@ class TorusData:
             return self.one()
         return RatFunc.var(self.universe, self.beta[a - 1])
 
+    def point_weight(self, a: int, j: int) -> RatFunc:
+        """The weight b_a a_j of the j-th coordinate at the a-th point,
+        stored as the product `b(a) * a(j)` stores it: a_j alone over T^n,
+        where b_a is 1."""
+        exps = {self.alpha[j - 1]: 1}
+        if self.beta:
+            exps[self.beta[a - 1]] = 1
+        return RatFunc(LaurentPoly.character(self.universe, exps))
+
     @property
     def y(self) -> RatFunc:
         return RatFunc.var(self.universe, "y")
@@ -101,14 +110,12 @@ def mc_line_classes(w: RatFunc):
     Returns (origin, line, punctured) = (1 - 1/w, 1 + y/w, (1+y)/w), the
     last as line - origin.  Every local class below is built from these,
     over the weights of a tangent space.  None of the three has a
-    denominator factor, so they are Laurent polynomials in the one inverse
-    of w, summed with no lift over factors and no trial division."""
+    denominator factor: each is read from the one key and coefficient of
+    the inverse of w (`RatFunc.line_classes`), with no Laurent sum, no lift
+    over factors and no trial division."""
     if not w.is_unit():
         raise ValueError("a line class needs a monomial weight, got %s" % w)
-    inv = w.inverse().num
-    origin = LaurentPoly.const(w.universe, 1) - inv
-    line = LaurentPoly.var(w.universe, "y") * inv + 1
-    return RatFunc(origin), RatFunc(line), RatFunc(line - origin)
+    return w.inverse().line_classes("y")
 
 
 def _origin_reciprocal(origin: RatFunc) -> RatFunc:
@@ -131,11 +138,13 @@ def lambda_classes(t: TorusData, weights):
 
 def proj_tangent_weights(t: TorusData, i: int) -> list:
     """The weights a_j/a_i (j != i) of the tangent space of projective
-    space at the i-th fixed point, each a product of two monomials."""
+    space at the i-th fixed point, each the character a_j a_i^-1 as the
+    product of the two monomials stores it."""
     if not 1 <= i <= t.n:
         raise ValueError("fixed point index out of range")
-    inv_a_i = RatFunc.var(t.universe, t.alpha[i - 1], -1)
-    return [t.a(j) * inv_a_i for j in range(1, t.n + 1) if j != i]
+    a_i = t.alpha[i - 1]
+    return [RatFunc(LaurentPoly.character(t.universe, {a_j: 1, a_i: -1}))
+            for a_j in t.alpha if a_j != a_i]
 
 
 def _euler_reciprocal(t: TorusData, origins) -> RatFunc:
@@ -248,7 +257,7 @@ def _orbit_points(t: TorusData, k: int) -> list:
     # a scaled torus names the weight b_a of every point
     if 0 < len(t.beta) < k:
         raise ValueError("need no beta names or at least k of them")
-    rows = [[mc_line_classes(t.b(a) * t.a(j)) for j in range(1, t.n + 1)]
+    rows = [[mc_line_classes(t.point_weight(a, j)) for j in range(1, t.n + 1)]
             for a in range(1, (k if t.beta else 1) + 1)]
     return rows if t.beta else rows * k
 

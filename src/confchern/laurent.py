@@ -272,9 +272,21 @@ class LaurentPoly:
 
     @classmethod
     def var(cls, universe: VarUniverse, name: str, power: int = 1) -> "LaurentPoly":
-        exps = [0] * len(universe)
-        exps[universe.index(name)] = power
-        return cls._make(universe, {universe._pack(exps): 1}, 1, abs(power))
+        return cls.character(universe, {name: power})
+
+    @classmethod
+    def character(cls, universe: VarUniverse,
+                  exps: Mapping[str, int]) -> "LaurentPoly":
+        """The monomial prod_x x^e over `exps` (name -> e) with coefficient
+        1, stored as the product of the powers `var(universe, x, e)`: its
+        key is the sum of each e times the place of x, and its bound is the
+        sum of the |e|, since a product adds its operands' bounds."""
+        place = universe._place
+        key = bound = 0
+        for name, e in exps.items():
+            key += e * place[universe.index(name)]
+            bound += abs(e)
+        return cls._make(universe, {key: 1}, 1, _check_bound(bound))
 
     @classmethod
     def monomial(cls, universe: VarUniverse, exps: Mapping[str, int],
@@ -722,6 +734,14 @@ def _unit_inverse(m: LaurentPoly) -> LaurentPoly:
                              max(map(abs, m.universe._unpack(key)), default=0))
 
 
+def _two_terms(k1: int, c1: int, k2: int, c2: int) -> dict:
+    """{k1: c1} plus c2 at k2, merged as a sum merges them: one term, or
+    none when they cancel, where the keys coincide."""
+    if k1 != k2:
+        return {k1: c1, k2: c2}
+    return {k1: c1 + c2} if c1 + c2 else {}
+
+
 def _normalize_den(den: LaurentPoly):
     """Split a nonzero denominator into a monomial to move into the
     numerator and a normalized factor (leading coefficient 1, minimum
@@ -734,16 +754,31 @@ def _normalize_den(den: LaurentPoly):
     if len(den._coeffs) == 1:
         return _unit_inverse(den), None
     u = den.universe
-    low, high = u._box(den._coeffs)
+    if len(den._coeffs) == 2:
+        # a binomial's box from its two exponent tuples
+        ends = list(map(u._unpack, den._coeffs))
+        low, high = list(map(min, *ends)), list(map(max, *ends))
+    else:
+        low, high = u._box(den._coeffs)
     off = u._key(low)
-    # shifting keeps the lex order, so the leading term stays leading
-    c = Fraction(den._denom, den._coeffs[max(den._coeffs)])
-    mono = LaurentPoly._make(u, {-off: c.numerator}, c.denominator,
+    # shifting keeps the lex order, so the leading term stays leading.  With
+    # d the denominator and lead the leading numerator, the monomial is
+    # X^-low times d/lead in lowest terms, and the factor is the shifted
+    # numerators over lead, their content (signed like lead) divided out.
+    d, lead = den._denom, den._coeffs[max(den._coeffs)]
+    g = math.gcd(d, lead)
+    c_num, c_den = d // g, lead // g
+    if c_den < 0:
+        c_num, c_den = -c_num, -c_den
+    mono = LaurentPoly._make(u, {-off: c_num}, c_den,
                              max([0] + [abs(e) for e in low]))
-    den0 = LaurentPoly._make(u, {k - off: v for k, v in den._coeffs.items()},
-                             den._denom,
-                             _check_bound(max(h - l for l, h in zip(low, high))))
-    return mono, den0 * c
+    content = math.gcd(*den._coeffs.values())
+    if lead < 0:
+        content = -content
+    factor = LaurentPoly._make(
+        u, {k - off: v // content for k, v in den._coeffs.items()},
+        lead // content, _check_bound(max(h - l for l, h in zip(low, high))))
+    return mono, factor
 
 
 class RatFunc:
@@ -985,6 +1020,34 @@ class RatFunc:
         if self.is_unit():
             return RatFunc._make(_unit_inverse(self.num), {})
         return RatFunc(self.den, self.num)
+
+    def line_classes(self, name: str):
+        """1 - m, 1 + x m and (1 + x) m for this unit m = c X^k and the
+        variable x named `name`, as RatFuncs without factors: the origin,
+        line and punctured classes of the character whose inverse is m.
+
+        Each is read from m's one key and numerator with the storage that
+        Laurent arithmetic gives it.  Over m's denominator d, 1 - m is
+        {0: d, k: -c} with m's bound, and 1 + x m is {k + x: c, 0: d} with
+        one more; where the two keys coincide (a constant m, or m a
+        multiple of 1/x) the numerators merge as a sum merges them, into
+        one term or none.  (1 + x) m, the line less the origin, is
+        {k + x: c, k: c}.  c and d are coprime, and so are d and d -+ c,
+        so no gcd is taken."""
+        if not self.is_unit():
+            raise ValueError("line classes need a unit, got %s" % self)
+        m = self.num
+        u = m.universe
+        [(k, c)] = m._coeffs.items()
+        d, bound = m._denom, m._bound
+        kx = k + u._place[u.index(name)]
+        line_bound = _check_bound(bound + 1)
+        return (RatFunc._make(LaurentPoly._make(u, _two_terms(0, d, k, -c),
+                                                d, bound), {}),
+                RatFunc._make(LaurentPoly._make(u, _two_terms(kx, c, 0, d),
+                                                d, line_bound), {}),
+                RatFunc._make(LaurentPoly._make(u, {kx: c, k: c}, d,
+                                                line_bound), {}))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List
 
-from confchern.classes import euler_reciprocal, mc_line_classes, mc_orbit_conf
+from confchern.classes import euler_reciprocal, mc_orbit_conf
 from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 from confchern.series import TruncSeries
@@ -202,6 +202,31 @@ def ratfunc_storage(f: RatFunc):
     return poly(f.num), [(poly(g), power) for g, power in f._factors.items()]
 
 
+def line_classes_by_arithmetic(w: RatFunc):
+    """`classes.mc_line_classes` by Laurent arithmetic on the one inverse
+    m of the unit w: 1 - m, y m + 1 and their difference (1 + y) m, each a
+    RatFunc without factors."""
+    inv = w.inverse().num
+    origin = LaurentPoly.const(w.universe, 1) - inv
+    line = LaurentPoly.var(w.universe, "y") * inv + 1
+    return RatFunc(origin), RatFunc(line), RatFunc(line - origin)
+
+
+def normalized_den_by_tuples(den: LaurentPoly):
+    """What `RatFunc(1, den)` stores, built from den's exponent tuples:
+    the numerator X^-low / c and the factor den X^-low / c, with low the
+    least exponent of each variable and c the coefficient of the
+    lex-leading tuple, through the general LaurentPoly constructor."""
+    terms = den.terms
+    low = [min(e[i] for e in terms) for i in range(len(den.universe))]
+    c = terms[max(terms)]
+    num = LaurentPoly(den.universe, {tuple(-x for x in low): 1 / c})
+    factor = LaurentPoly(den.universe, {
+        tuple(x - m for x, m in zip(e, low)): a / c
+        for e, a in terms.items()})
+    return num, factor
+
+
 def proj_tangent_weights_by_division(t, i: int) -> list:
     """`classes.proj_tangent_weights` by RatFunc division: a_j / a_i."""
     return [t.a(j) / t.a(i) for j in range(1, t.n + 1) if j != i]
@@ -212,7 +237,7 @@ def lambda_classes_by_products(t, weights):
     reduced after every step."""
     lam_y = lam_m1 = t.one()
     for w in weights:
-        origin, line, _ = mc_line_classes(w)
+        origin, line, _ = line_classes_by_arithmetic(w)
         lam_y = lam_y * line
         lam_m1 = lam_m1 * origin
     return lam_y, lam_m1
@@ -223,7 +248,7 @@ def euler_reciprocal_by_division(t, weights) -> RatFunc:
     inverted and trial-divided at a time."""
     acc = t.one()
     for w in weights:
-        acc = acc / mc_line_classes(w)[0]
+        acc = acc / line_classes_by_arithmetic(w)[0]
     return acc
 
 
@@ -232,7 +257,7 @@ def fixed_point_factor_by_division(t, i: int) -> RatFunc:
     the weights a_j/a_i, each step inverted and trial-divided."""
     acc = t.one()
     for w in proj_tangent_weights_by_division(t, i):
-        origin, line, _ = mc_line_classes(w)
+        origin, line, _ = line_classes_by_arithmetic(w)
         acc = acc * line / origin
     return acc
 

@@ -1,6 +1,7 @@
 """Tests for the localized class formulas."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -14,13 +15,14 @@ from confchern.classes import (ProjFixedPoint, TorusData, euler_reciprocal,
                                mc_conf_proj_refinement_sum, mc_line_classes,
                                mc_orbit_conf, mc_orbit_full,
                                proj_tangent_weights, standard_universe)
-from confchern.laurent import RatFunc, VarUniverse
+from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
 from confchern.partitions import SetPartition, partition_sum
 from oracles import (euler_point_beta, euler_reciprocal_by_division,
                      fixed_point_factor_by_division,
-                     lambda_classes_by_products, mc_orbit_conf_pairwise,
-                     mc_orbit_full_composed, mc_orbit_full_expanded,
-                     proj_tangent_weights_by_division, ratfunc_storage)
+                     lambda_classes_by_products, line_classes_by_arithmetic,
+                     mc_orbit_conf_pairwise, mc_orbit_full_composed,
+                     mc_orbit_full_expanded, proj_tangent_weights_by_division,
+                     ratfunc_storage)
 
 
 def _one_block(k):
@@ -62,6 +64,40 @@ def test_line_classes_at_a_weight(weight):
     assert line == 1 + t.y / w
     assert punctured == (1 + t.y) / w
     assert punctured == line - origin
+
+
+def _random_weights(seed, count=80):
+    """Seeded units c X^e over (a1, a2, b1, y): c an int or Fraction of
+    either sign, e with entries of both signs, y among them; a constant
+    one time in five, and the weights where 1 - 1/w or 1 + y/w has its two
+    keys coincide (constants, multiples of y) first."""
+    u = standard_universe(2, 1)
+    y = RatFunc.var(u, "y")
+    yield from (RatFunc.const(u, c) for c in (1, -1, 2, Fraction(-3, 2)))
+    yield from (c * y for c in (1, -1, 3, Fraction(2, 5)))
+    rng = random.Random("weights:%d" % seed)
+    for _ in range(count):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                     rng.choice([1, 1, 2, 3, 10]))
+        if c.denominator == 1 and rng.random() < 0.5:
+            c = int(c)
+        e = ((0,) * len(u) if rng.random() < 0.2
+             else tuple(rng.randint(-3, 3) for _ in u))
+        yield RatFunc(LaurentPoly(u, {e: c}))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_line_classes_store_what_arithmetic_stores(seed):
+    # read from the one key and coefficient of 1/w, the three classes store
+    # what 1 - 1/w, 1 + y/w and line - origin store by Laurent arithmetic:
+    # keys in order, merged where they coincide, denominators and bounds
+    for w in _random_weights(seed):
+        got = mc_line_classes(w)
+        assert [ratfunc_storage(c) for c in got] \
+            == [ratfunc_storage(c) for c in line_classes_by_arithmetic(w)]
+        origin, line, punctured = got
+        assert punctured == line - origin
+        assert origin * w == w - 1
 
 
 def test_line_classes_at_orbit_weights():
@@ -363,7 +399,7 @@ def _local_weight_lists(n):
                + [proj_tangent_weights(t, i) for i in range(1, n + 1)])
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_local_classes_store_what_division_stores(n):
     # products of line classes and origin reciprocals, with no inverse and
     # no trial division, store what the chains of RatFunc products and
@@ -382,9 +418,13 @@ def test_local_classes_store_what_division_stores(n):
         assert [ratfunc_storage(c) for c in lambda_classes(t, weights)] \
             == [ratfunc_storage(c)
                 for c in lambda_classes_by_products(t, weights)]
-    # each row's R_a of mc_orbit_full, from the scaled table
+    # each row of the scaled table, its three classes at every weight, and
+    # its R_a of mc_orbit_full
     for a, row in enumerate(classes._orbit_points(t, 2), start=1):
         weights = [t.b(a) * t.a(j) for j in range(1, n + 1)]
+        assert [[ratfunc_storage(c) for c in lines] for lines in row] \
+            == [[ratfunc_storage(c) for c in line_classes_by_arithmetic(w)]
+                for w in weights]
         assert ratfunc_storage(classes._euler_reciprocal(
             t, [origin for origin, _, _ in row])) \
             == ratfunc_storage(euler_reciprocal_by_division(t, weights))

@@ -16,8 +16,8 @@ from confchern.laurent import (EXP_LIMIT, ExponentOverflowError, LaurentPoly,
                                RatFunc, UniverseMismatchError, VarUniverse,
                                ZeroDenominatorError, _exact_div,
                                _normalize_den)
-from oracles import (DictPoly, over_common_den_pair, parse_laurent_poly,
-                     ratfunc_storage)
+from oracles import (DictPoly, normalized_den_by_tuples, over_common_den_pair,
+                     parse_laurent_poly, ratfunc_storage)
 
 U = VarUniverse(("a1", "a2", "y"))
 
@@ -302,6 +302,39 @@ def test_unit_inverse_stores_what_the_constructor_builds(seed):
             == ratfunc_storage(RatFunc(LaurentPoly.const(U, 1), m.num)) \
             == ratfunc_storage(want)
         assert got * m == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("terms", (2, 3))
+def test_denominator_normalized_from_its_exponent_tuples(seed, terms):
+    # binomials (the exponent box from their two tuples) and trinomials
+    # with negative exponents and Fraction coefficients: RatFunc(1, f)
+    # stores the monomial and the factor built from f's tuples
+    rng = random.Random("normalize:%d:%d" % (seed, terms))
+    one = LaurentPoly.const(U, 1)
+    for _ in range(60):
+        f = LaurentPoly(U, {
+            tuple(rng.randint(-4, 4) for _ in U):
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                     rng.choice([1, 1, 2, 3, 10]))
+            for _ in range(terms)})
+        if len(f.terms) < 2:
+            continue
+        num, factor = normalized_den_by_tuples(f)
+        assert ratfunc_storage(RatFunc(one, f)) \
+            == ratfunc_storage(RatFunc._make(num, {factor: 1}))
+
+
+def test_character_stores_the_product_of_its_powers():
+    for exps in ({"a1": 1, "a2": -1}, {"a2": 1, "y": 1}, {"a1": 3},
+                 {"a1": -2, "a2": 0, "y": 5}, {}):
+        want = RatFunc.const(U, 1)
+        for name, e in exps.items():
+            want = want * rf(name, e)
+        assert ratfunc_storage(RatFunc(LaurentPoly.character(U, exps))) \
+            == ratfunc_storage(want)
+    with pytest.raises(ExponentOverflowError):
+        LaurentPoly.character(U, {"a1": EXP_LIMIT, "a2": 1})
 
 
 @pytest.mark.parametrize("seed", range(3))
