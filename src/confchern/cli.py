@@ -39,37 +39,30 @@ class UsageError(Exception):
 
 def _parse_list(option: str, text: str, convert) -> list:
     try:
+        # an exponent, as in 1e99999999, can name a number too large to build
+        if "e" in text.lower():
+            raise ValueError(text)
         return [convert(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise UsageError("%s expects comma-separated values, got %r"
                          % (option, text)) from None
 
 
-# The size ranges of all commands live in CLASS_RANGES, ORBIT_K_MAX,
-# S2_N_MAX, RECURSION_K_MAX and CHECKS, and main holds each parameter to
-# its range before anything is built or run; the library checks only its
-# domain.  The class commands share one range.  The orbit classes take at
-# most ORBIT_K_MAX[n] points, and `check s2` and `check s2-full` at most the
-# order S2_N_MAX[n]: the largest value at each n that runs within 30 s and
-# 1 GB (README), where the next one ran out of time or memory, and no order
-# above the 18 of the other series checks.  `check recursion` visits all n^k
-# fixed points, and takes at most RECURSION_K_MAX[n] points, the largest k
-# with n^k <= 256.  A range whose highest value is such a table names it in
-# place of a number.  `check residue` takes the order N up to
-# MAX_POLE_ORDER, the order of the pole at z = 1 of its N-th term.
-CLASS_RANGES = dict(n=(1, 6), k=(1, 7))
+# Every command, class or check, lists its parameters as {key: (default,
+# lowest, highest)}: no default means the option is required, and no bounds
+# that it is not a size.
+# _admit holds each size to its range before anything is built or run; the
+# library checks only its domain.  A list parameter (LISTS) has its length
+# as its size.  A highest value is a number or a table by n, read at --n, so
+# n comes first in a row that has one.  The orbit and s2 tables by n and the
+# residue poles are capped so that a run stays within 30 s and 1 GB (README
+# gives the runs); RECURSION_K_MAX[n] is the largest k with n^k <= 256 fixed
+# points, and MAX_POLE_ORDER the pole order of the N-th residue term.
 ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
 S2_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
 RECURSION_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 3}
-
-
-def _highest(hi, n):
-    """The highest value of a range at n, and the text that names n when
-    n lowers it: `hi` is a number or a table of highest values by n."""
-    if not isinstance(hi, dict):
-        return hi, ""
-    top = max(hi.values())
-    return hi[n], "" if hi[n] == top else " at --n %d" % n
+ALPHAS_MAX = 32
+ALPHA_DIGITS_MAX = 20
 
 
 def _range_text(lo, hi) -> str:
@@ -80,27 +73,34 @@ def _range_text(lo, hi) -> str:
     return "%d..%d; at most %s" % (lo, top, ", ".join(
         "%d at n = %d" % (v, n) for n, v in hi.items() if v < top))
 
-# class command -> (help, builder); a builder maps (n, k) to the class, where
-# the k of conf-proj is the fixed point that main parses from --point, so
-# its length is held to the range of k.  The lambdas here and in CHECKS read
-# the library names when they run.
+
+# list parameter -> (element type, help)
+LISTS = dict(point=(int, "comma-separated axis indices, e.g. 1,1,2"),
+             alphas=(Fraction, "comma-separated rationals, e.g. 2,1/2 or "
+                     "-2,3, with numerators and denominators of at most "
+                     "%d digits" % ALPHA_DIGITS_MAX))
+
+# class command -> (help, parameters, runner); a runner maps the parsed
+# arguments to the class.  The lambdas here and in CHECKS read the library
+# names when they run.
 CLASSES = {
     "conf-affine": ("affine configuration class",
-                    lambda n, k: mc_conf_affine(TorusData.standard(n), k)),
+                    dict(n=(None, 1, 6), k=(None, 1, 7)),
+                    lambda args: mc_conf_affine(TorusData.standard(args.n),
+                                                args.k)),
     "orbit": ("pairwise independent vectors class",
-              lambda n, k: mc_orbit_conf(TorusData.standard(n, k=k), k)),
+              dict(n=(None, 1, 6), k=(None, 1, ORBIT_K_MAX)),
+              lambda args: mc_orbit_conf(
+                  TorusData.standard(args.n, k=args.k), args.k)),
     "orbit-full": ("vanishing-allowed orbit class",
-                   lambda n, k: mc_orbit_full(TorusData.standard(n, k=k), k)),
+                   dict(n=(None, 1, 6), k=(None, 1, ORBIT_K_MAX)),
+                   lambda args: mc_orbit_full(
+                       TorusData.standard(args.n, k=args.k), args.k)),
     "conf-proj": ("projective class at a fixed point",
-                  lambda n, e: mc_conf_proj_at(TorusData.standard(n), e)),
+                  dict(n=(None, 1, 6), point=(None, 1, 7)),
+                  lambda args: mc_conf_proj_at(TorusData.standard(args.n),
+                                               ProjFixedPoint(args.point))),
 }
-
-
-def cmd_class(args) -> int:
-    rf = CLASSES[args.command][1](args.n, args.k)
-    print(json.dumps(rf.to_json(), sort_keys=True)
-          if args.output == "json" else rf)
-    return 0
 
 
 def _check_a_oracle(args) -> bool:
@@ -134,8 +134,7 @@ def _check_limits_props(args) -> bool:
 
 
 # check name -> (parameters, runner); a runner returns whether the check
-# passed.  A check reads exactly the parameters it lists, each as
-# (default, lowest, highest), with no bounds for one that is not a size.
+# passed.  A check reads exactly the parameters it lists.
 CHECKS = {
     "a-oracle": (dict(k=(5, 1, GRAPH_ORACLE_CAP)), _check_a_oracle),
     "szeregi": (dict(N=(5, 1, 18)),
@@ -147,11 +146,12 @@ CHECKS = {
                 lambda args: check_orbit_full_series(args.n, args.N)),
     "s3-point": (dict(N=(5, 1, 18)),
                  lambda args: check_point_series_ambient(args.N)),
-    "residue": (dict(alphas=("2,3", None, None), N=(3, 1, MAX_POLE_ORDER)),
+    "residue": (dict(alphas=("2,3", 1, ALPHAS_MAX),
+                     N=(3, 1, MAX_POLE_ORDER)),
                 lambda args: check_residue_form(args.alphas, args.N)),
     "bb-stability": (dict(n=(3, 2, 4), k=(2, 1, 3)),
                      lambda args: check_bb_stability(args.n, args.k)),
-    "recursion": (dict(n=(3, *CLASS_RANGES["n"]), k=(3, 1, RECURSION_K_MAX)),
+    "recursion": (dict(n=(3, 1, 6), k=(3, 1, RECURSION_K_MAX)),
                   _check_recursion),
     "limits-props": (dict(seed=(0, None, None), count=(200, 1, 10000)),
                      _check_limits_props),
@@ -159,38 +159,18 @@ CHECKS = {
 CHECK_PARAMS = ("n", "k", "N", "alphas", "seed", "count")
 
 
-def cmd_check(args) -> int:
-    ok = CHECKS[args.name][1](args)
-    # the a-oracle count line is its verdict
-    if args.name != "a-oracle":
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confchern",
         description="exact localized classes of configuration spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-    k_range = "%d..%d" % CLASS_RANGES["k"]
-
-    def common(p, text=None):
-        p.add_argument("--output", choices=("text", "json"), default="text",
-                       help=text)
-
-    for name, (text, _) in CLASSES.items():
+    for name, (text, params, _) in CLASSES.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--n", type=int, required=True,
-                       help="%d..%d" % CLASS_RANGES["n"])
-        if name == "conf-proj":
-            p.add_argument("--point", type=str, required=True, help=k_range
-                           + " comma-separated axis indices, e.g. 1,1,2")
-        elif name.startswith("orbit"):
-            p.add_argument("--k", type=int, required=True,
-                           help=_range_text(CLASS_RANGES["k"][0], ORBIT_K_MAX))
-        else:
-            p.add_argument("--k", type=int, required=True, help=k_range)
-        common(p)
+        for key, (default, lo, hi) in params.items():
+            p.add_argument("--" + key, type=str if key in LISTS else int,
+                           required=default is None, default=default,
+                           help=_range_text(lo, hi)
+                           + (" " + LISTS[key][1] if key in LISTS else ""))
 
     ranges = "".join("\n  %-13s " % name + "; ".join(
         "--%s %s" % (key, default)
@@ -199,61 +179,79 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (params, _) in CHECKS.items())
     p = sub.add_parser("check", help="run a verification suite",
                        formatter_class=argparse.RawDescriptionHelpFormatter,
-                       epilog="parameters of each check, default (range):%s"
-                       % ranges)
+                       epilog="parameters of each check, default (range; of "
+                       "a list, its length):%s" % ranges)
     p.add_argument("--name", choices=tuple(CHECKS), required=True)
     for key in CHECK_PARAMS:
-        if key == "alphas":
-            p.add_argument("--alphas",
-                           help="comma-separated rationals, e.g. 2,1/2 or -2,3")
-        else:
-            p.add_argument("--" + key, type=int)
-    common(p, "accepted; a check prints text whatever it says")
+        p.add_argument("--" + key, type=str if key in LISTS else int,
+                       help=LISTS[key][1] if key in LISTS else None)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--output", choices=("text", "json"), default="text",
+                       help="accepted; a check prints text whatever it says"
+                       if name == "check" else None)
     return parser
 
 
 def _admit(args):
-    """Fill in the defaults of a check, then refuse a parameter that the
-    check does not read, any size outside its range and a malformed
-    fixed point or residue pole list, before anything is built or run.
-    Parses --point into args.k and --alphas in place.  Raises UsageError."""
+    """Fill in the defaults of a check and refuse a parameter that it does
+    not read; then refuse any size outside its range and a malformed list,
+    fixed point or residue pole, before anything is built or run.  Parses
+    each list parameter in place and returns the command's runner.  Raises
+    UsageError."""
     if args.command == "check":
-        command, params = "check " + args.name, CHECKS[args.name][0]
+        command, (params, runner) = "check " + args.name, CHECKS[args.name]
         for key in CHECK_PARAMS:
             if getattr(args, key) is None:
                 setattr(args, key, params[key][0] if key in params else None)
             elif key not in params:
                 raise UsageError("%s does not take --%s" % (command, key))
-        sizes = [("--" + key, getattr(args, key), lo, hi)
-                 for key, (_, lo, hi) in params.items() if lo is not None]
     else:
-        command = args.command
-        if command == "conf-proj":
-            point = tuple(_parse_list("--point", args.point, int))
-            try:
-                args.k = ProjFixedPoint(point)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            k = ("--point length", args.k.k)
-        else:
-            k = ("--k", args.k)
-        lo, hi = CLASS_RANGES["k"]
-        sizes = [("--n", args.n) + CLASS_RANGES["n"],
-                 k + (lo, ORBIT_K_MAX if command.startswith("orbit") else hi)]
-    # n comes first, so a table of highest values by n is read in range
-    for option, value, lo, hi in sizes:
-        hi, where = _highest(hi, args.n)
-        if not lo <= value <= hi:
+        command, (_, params, runner) = args.command, CLASSES[args.command]
+    for key, (_, lo, hi) in params.items():
+        option, size = "--" + key, getattr(args, key)
+        if key in LISTS:
+            setattr(args, key, _parse_list(option, size, LISTS[key][0]))
+            option, size = option + " length", len(getattr(args, key))
+        if lo is None:
+            continue
+        where = ""
+        if isinstance(hi, dict):  # read at --n, which comes first
+            if hi[args.n] < max(hi.values()):
+                where = " at --n %d" % args.n
+            hi = hi[args.n]
+        if not lo <= size <= hi:
             raise UsageError("%s takes %s in %d..%d%s, got %d"
-                             % (command, option, lo, hi, where, value))
-    if command == "conf-proj" and max(args.k.iota) > args.n:
-        raise UsageError("fixed point index out of range")
+                             % (command, option, lo, hi, where, size))
+    if command == "conf-proj":
+        try:
+            if max(ProjFixedPoint(args.point).iota) > args.n:
+                raise ValueError("fixed point index out of range")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if command == "check residue":
-        args.alphas = _parse_list("--alphas", args.alphas, Fraction)
         if (len(set(args.alphas)) != len(args.alphas)
                 or any(a in (0, 1) for a in args.alphas)):
             raise UsageError("alphas must be distinct and differ from 0 and 1")
+        if max(max(abs(a.numerator), a.denominator)
+               for a in args.alphas) >= 10 ** ALPHA_DIGITS_MAX:
+            raise UsageError("%s takes --alphas numerators and denominators "
+                             "of at most %d digits"
+                             % (command, ALPHA_DIGITS_MAX))
+    return runner
+
+
+def run(args, runner) -> int:
+    """Run an admitted command: print its class, or the verdict of its
+    check, with exit code 1 when the check fails."""
+    result = runner(args)
+    if args.command != "check":
+        print(json.dumps(result.to_json(), sort_keys=True)
+              if args.output == "json" else result)
+        return 0
+    if args.name != "a-oracle":  # its count line is its verdict
+        print("PASS" if result else "FAIL")
+    return 0 if result else 1
 
 
 def main(argv=None) -> int:
@@ -265,12 +263,12 @@ def main(argv=None) -> int:
             argv[i:i + 2] = ["--alphas=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
-        _admit(args)
+        runner = _admit(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        return (cmd_check if args.command == "check" else cmd_class)(args)
+        return run(args, runner)
     except LIBRARY_ERRORS as exc:
         # an exception may carry no text, as a MemoryError does
         text = " ".join(str(exc).split()) or (

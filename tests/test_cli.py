@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -97,7 +98,7 @@ RANGES = [
     ("szeregi", "N", 1, 18), ("s1", "N", 1, 18), ("s3-point", "N", 1, 18),
     ("s2", "n", 1, 6), ("s2", "N", 1, 18),
     ("s2-full", "n", 1, 6), ("s2-full", "N", 1, 18),
-    ("residue", "N", 1, 8),
+    ("residue", "alphas", 1, 32), ("residue", "N", 1, 8),
     ("bb-stability", "n", 2, 4), ("bb-stability", "k", 1, 3),
     ("recursion", "n", 1, 6), ("recursion", "k", 1, 7),
     ("limits-props", "count", 1, 10000),
@@ -105,46 +106,50 @@ RANGES = [
 
 
 class Reached(Exception):
-    """Raised by a stub builder or runner: the CLI began to compute."""
+    """Raised by a stub runner: the CLI began to compute."""
+
+
+def _stub_runners(monkeypatch, stub):
+    """Put `stub` in place of the runner of every class and check."""
+    for name, (text, params, _) in cli.CLASSES.items():
+        monkeypatch.setitem(cli.CLASSES, name, (text, params, stub))
+    for name, (params, _) in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, (params, stub))
 
 
 def _argv(command, option, value):
     """argv of `command` with `option` at `value` and every other size
-    option at its lowest; the --point of a length is 1,1,...,1."""
+    option at its lowest; a --point of a length is 1,1,...,1 and --alphas
+    is 2,3,..."""
     sizes = {opt: lo for cmd, opt, lo, _ in RANGES if cmd == command}
     sizes[option] = value
     argv = ["check", "--name", command] if command in cli.CHECKS \
         else [command]
     for opt, v in sizes.items():
-        argv += ["--" + opt, ",".join(["1"] * v) if opt == "point" else str(v)]
+        text = {"point": ",".join(["1"] * v),
+                "alphas": ",".join(map(str, range(2, v + 2)))}
+        argv += ["--" + opt, text.get(opt, str(v))]
     return argv
 
 
 @pytest.mark.parametrize("command,option,lo,hi", RANGES,
                          ids=["%s-%s" % r[:2] for r in RANGES])
 def test_range_edges(command, option, lo, hi, capsys, monkeypatch):
-    # each edge value reaches a stub in place of the builder or runner, and
-    # one past each edge is refused before the stub is called
-    def stub(*args):
-        raise Reached(*args)
+    # each edge value reaches a stub in place of the runner, and one past
+    # each edge is refused before the stub is called
+    def stub(args):
+        raise Reached(getattr(args, option))
 
-    for name, (text, _) in cli.CLASSES.items():
-        monkeypatch.setitem(cli.CLASSES, name, (text, stub))
-    for name, (params, _) in cli.CHECKS.items():
-        monkeypatch.setitem(cli.CHECKS, name, (params, stub))
+    _stub_runners(monkeypatch, stub)
     for value in (lo, hi):
         with pytest.raises(Reached) as exc:
             cli.main(_argv(command, option, value))
-        if command in cli.CHECKS:
-            got = getattr(exc.value.args[0], option)
-        else:
-            n, k = exc.value.args
-            got = n if option == "n" else k.k if option == "point" else k
-        assert got == value
+        got = exc.value.args[0]
+        assert (len(got) if option in cli.LISTS else got) == value
     where = "check " + command if command in cli.CHECKS else command
-    label = "point length" if option == "point" else option
-    # an empty --point is malformed, not a length out of range
-    for value in (lo - 1, hi + 1) if option != "point" else (hi + 1,):
+    label = option + " length" if option in cli.LISTS else option
+    # an empty list is malformed, not a length out of range
+    for value in (lo - 1, hi + 1) if option not in cli.LISTS else (hi + 1,):
         code, out, err = run(_argv(command, option, value), capsys)
         assert (code, out) == (2, "")
         assert err == "error: %s takes --%s in %d..%d, got %d\n" \
@@ -160,10 +165,11 @@ ORBIT_K_EDGES = [(3, 5), (4, 4), (5, 3), (6, 2)]
 def test_orbit_k_range_by_n(command, capsys, monkeypatch):
     # the largest k at each n reaches the builder, one more is refused
     # before it runs, and --help names each of these edges
-    def stub(*args):
-        raise Reached(*args)
+    def stub(args):
+        raise Reached(args.n, args.k)
 
-    monkeypatch.setitem(cli.CLASSES, command, ("", stub))
+    text, params, _ = cli.CLASSES[command]
+    monkeypatch.setitem(cli.CLASSES, command, (text, params, stub))
     for n, k in ORBIT_K_EDGES:
         argv = [command, "--n", str(n), "--k", str(k)]
         with pytest.raises(Reached) as exc:
@@ -331,6 +337,13 @@ def test_usage_error_exit_2(argv, capsys):
     assert err.startswith("error: ")
 
 
+# The highest numerator and denominator of a `check residue` pole, 20
+# digits, written out like RANGES, and the refusal one digit above.
+TOP = 10 ** 20 - 1
+HIGH = "error: check residue takes --alphas numerators and denominators " \
+    "of at most 20 digits\n"
+
+
 @pytest.mark.parametrize("argv,err", [
     (["check", "--name", "residue", "--alphas", "2,2"],
      "error: alphas must be distinct and differ from 0 and 1\n"),
@@ -342,18 +355,48 @@ def test_usage_error_exit_2(argv, capsys):
      "error: fixed point index out of range\n"),
     (["conf-proj", "--n", "2", "--point", "0,1"],
      "error: a fixed point is a nonempty tuple of 1-based indices\n"),
+    (["check", "--name", "residue", "--alphas", "2,%d" % (TOP + 1)], HIGH),
+    (["check", "--name", "residue", "--alphas=-%d/7" % (TOP + 1)], HIGH),
+    (["check", "--name", "residue", "--alphas", "2,1/%d" % (TOP + 1)], HIGH),
+    # an exponent could name a number too large to build
+    (["check", "--name", "residue", "--alphas", "1e999"],
+     "error: --alphas expects comma-separated values, got '1e999'\n"),
 ], ids=["residue-repeated-pole", "residue-pole-at-1", "recursion-cap",
-        "point-index", "point-zero"])
+        "point-index", "point-zero", "residue-numerator-height",
+        "residue-negative-numerator-height", "residue-denominator-height",
+        "residue-exponent"])
 def test_domain_refusals_precede_the_run(argv, err, capsys, monkeypatch):
-    # _admit refuses these before any builder or runner is called
-    def stub(*args):
+    # _admit refuses these before any runner is called
+    def stub(args):
         raise AssertionError("reached the library")
 
-    for name, (text, _) in cli.CLASSES.items():
-        monkeypatch.setitem(cli.CLASSES, name, (text, stub))
-    for name, (params, _) in cli.CHECKS.items():
-        monkeypatch.setitem(cli.CHECKS, name, (params, stub))
+    _stub_runners(monkeypatch, stub)
     assert run(argv, capsys) == (2, "", err)
+
+
+def test_residue_poles_of_the_highest_height_reach_the_runner(monkeypatch):
+    def stub(args):
+        raise Reached(args.alphas)
+
+    monkeypatch.setitem(cli.CHECKS, "residue",
+                        (cli.CHECKS["residue"][0], stub))
+    edge = [Fraction(TOP), Fraction(-TOP, TOP - 1), Fraction(1, TOP)]
+    with pytest.raises(Reached) as exc:
+        cli.main(["check", "--name", "residue",
+                  "--alphas", ",".join(map(str, edge))])
+    assert exc.value.args[0] == edge
+
+
+def test_a_table_by_n_follows_n():
+    # _admit reads a table of highest values by n at --n, which it holds to
+    # its range first, so every row with such a table lists n first
+    rows = [params for _, params, _ in cli.CLASSES.values()] \
+        + [params for params, _ in cli.CHECKS.values()]
+    tables = [params for params in rows
+              if any(isinstance(hi, dict) for _, _, hi in params.values())]
+    assert len(tables) == 5
+    for params in tables:
+        assert list(params)[0] == "n"
 
 
 @pytest.mark.parametrize("exc,text", [

@@ -5,7 +5,7 @@ The list covers every class subcommand at small n and k (every `conf-proj`
 fixed point with n <= 3 and k <= 3), text and json output, the cheap
 checks, `a-oracle` at its largest k, the point-data series checks at
 their largest N, a few usage errors and one past each edge of every size
-range.  A change that alters any printed byte or exit code fails here.
+range and of the residue pole height.  A change that alters any printed byte or exit code fails here.
 To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -261,6 +261,9 @@ GOLDEN = """\
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name s2-full --n 6 --N 3
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 0
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --N 9
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --alphas 2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --alphas 2,100000000000000000000 --N 1
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name residue --alphas 2,1/100000000000000000000 --N 1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 1 --k 1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 5 --k 1
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 check --name bb-stability --n 2 --k 0
