@@ -54,10 +54,13 @@ def _parse_list(option: str, text: str, convert) -> list:
 # _admit holds each size to its range before anything is built or run; the
 # library checks only its domain.  A list parameter (LISTS) has its length
 # as its size.  A highest value is a number or a table by n, read at --n, so
-# n comes first in a row that has one.  The orbit and s2 tables by n and the
-# residue poles are capped so that a run stays within 30 s and 1 GB (README
-# gives the runs); RECURSION_K_MAX[n] is the largest k with n^k <= 256 fixed
-# points, and MAX_POLE_ORDER the pole order of the N-th residue term.
+# n comes first in a row that has one.  The affine, projective, orbit and s2
+# tables by n and the residue poles are capped so that a run stays within
+# 30 s and 1 GB (README gives the runs); RECURSION_K_MAX[n] is the largest k
+# with n^k <= 256 fixed points, and MAX_POLE_ORDER the pole order of the
+# N-th residue term.
+AFFINE_K_MAX = {1: 7, 2: 7, 3: 7, 4: 7, 5: 7, 6: 5}
+PROJ_POINT_MAX = {1: 7, 2: 7, 3: 7, 4: 7, 5: 7, 6: 6}
 ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
 S2_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
 RECURSION_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 3}
@@ -85,7 +88,7 @@ LISTS = dict(point=(int, "comma-separated axis indices, e.g. 1,1,2"),
 # names when they run.
 CLASSES = {
     "conf-affine": ("affine configuration class",
-                    dict(n=(None, 1, 6), k=(None, 1, 7)),
+                    dict(n=(None, 1, 6), k=(None, 1, AFFINE_K_MAX)),
                     lambda args: mc_conf_affine(TorusData.standard(args.n),
                                                 args.k)),
     "orbit": ("pairwise independent vectors class",
@@ -97,7 +100,7 @@ CLASSES = {
                    lambda args: mc_orbit_full(
                        TorusData.standard(args.n, k=args.k), args.k)),
     "conf-proj": ("projective class at a fixed point",
-                  dict(n=(None, 1, 6), point=(None, 1, 7)),
+                  dict(n=(None, 1, 6), point=(None, 1, PROJ_POINT_MAX)),
                   lambda args: mc_conf_proj_at(TorusData.standard(args.n),
                                                ProjFixedPoint(args.point))),
 }

@@ -20,8 +20,8 @@ Scalar = Union[Fraction, int]
 # Bits per digit of a packed exponent key (VarUniverse decodes digits as
 # 32-bit C ints).  Digits are signed, so a key compares like its exponent
 # tuple.  Exponents are held to a quarter of the digit range, so the
-# difference of two of them (a span, or a shift in _exact_div) still fits
-# in a digit.
+# difference of two of them (a span, or a shift to minimum exponent 0)
+# still fits in a digit.
 _WIDTH = 32
 EXP_LIMIT = (1 << (_WIDTH - 2)) - 1
 
@@ -562,36 +562,34 @@ def _exact_div(p: LaurentPoly, f: LaurentPoly):
     divided over Z by f's own, exactly whenever the division over Q is
     (Gauss's lemma).
 
+    Only a binomial with an entry +-1 in the difference of its exponents
+    is divided (_chain_div), and only while its chain keys fit the packed
+    digit range; any other f gives None and stays in the denominator.
+    Every factor of the local classes (a_i - a_j, a_i - 1, b_a a_j - 1,
+    z - alpha) is one.  No other factor was seen to divide: on a seed-1
+    `limits` benchmark pass they make 1210 of 1634 trials, all misses.
+
     Evaluation at the point of ones, x = (1, ..., 1), is a ring map from
     the Laurent ring, so f | p forces p(1..1) = 0 whenever f(1..1) = 0, as
     for every a_i - a_j, a_i - 1 and b_a a_j - 1.  Those values are the
     sums of the integer numerators, and a p whose sum is not 0 is a miss,
-    refuted before any exponent is unpacked; p's terms are summed only when
-    f's few sum to 0.
-
-    A binomial f with an entry +-1 in the difference of its two exponents
-    is divided in one synthetic pass (_chain_div) whenever its chain keys
-    stay inside the packed digit range; every other factor goes to long
-    division (_long_div).  Both store a quotient the same way: keys in
-    descending order, numerators over p's denominator with their common
-    factor divided out, and as bound the largest |exponent| of the box
-    [low(p), high(p) - high(f)] that holds the quotient's exponents.
+    refuted before the chains are built.
     """
     fc = f._coeffs
-    if not sum(fc.values()) and sum(p._coeffs.values()):
+    if len(fc) != 2:
         return None
-    if len(fc) == 2:
-        u = p.universe
-        top, bottom = fc.items()
-        w = [a - b for a, b in zip(u._unpack(top[0]), u._unpack(bottom[0]))]
-        if -1 in w and 1 not in w:
-            top, bottom = bottom, top
-            w = [-x for x in w]
-        # the chain keys are within _bound * (1 + max |w_j|); beyond the
-        # digit range a carry could merge two chains
-        if 1 in w and p._bound * (1 + max(map(abs, w))) <= EXP_LIMIT:
-            return _chain_div(p, f, w.index(1), top, bottom)
-    return _long_div(p, f)
+    u = p.universe
+    top, bottom = fc.items()
+    w = [a - b for a, b in zip(u._unpack(top[0]), u._unpack(bottom[0]))]
+    if -1 in w and 1 not in w:
+        top, bottom, w = bottom, top, [-x for x in w]
+    # the chain keys are within _bound * (1 + max |w_j|); beyond the digit
+    # range a carry could merge two chains
+    if 1 not in w or p._bound * (1 + max(map(abs, w))) > EXP_LIMIT:
+        return None
+    if not (top[1] + bottom[1]) and sum(p._coeffs.values()):
+        return None
+    return _chain_div(p, f, w.index(1), top, bottom)
 
 
 def _chain_div(p: LaurentPoly, f: LaurentPoly, i: int, top, bottom):
@@ -646,81 +644,11 @@ def _chain_div(p: LaurentPoly, f: LaurentPoly, i: int, top, bottom):
         if r:
             return None
     quot.sort(reverse=True)
-    # the quotient's exponent box is [low(p), high(p) - high(f)], since
-    # degrees in each variable add under products; its ends are read off
-    # the quotient's own keys
+    # the bound is the largest |exponent| of the quotient's keys
     low, high = p.universe._box([k for k, _ in quot])
     lead_c = f._denom
     return _canonical(p.universe, {k: c * lead_c for k, c in quot},
                       p._denom, _check_bound(max(map(abs, low + high))))
-
-
-def _long_div(p: LaurentPoly, f: LaurentPoly):
-    """p/f or None by long division, for the factors that _chain_div does
-    not take.
-
-    Lex order is a monomial order, so p's lex-highest and lex-lowest terms
-    are those of f times those of the integer quotient.  An end
-    coefficient of p that the matching one of f does not divide is
-    therefore a miss, refuted from four dict entries before any exponent
-    is unpacked.
-
-    Monomial factors always divide in the Laurent ring, so divisibility is
-    tested after shifting p to nonnegative exponents.  A leading
-    coefficient that leaves a remainder is a miss.  The remainder lives in
-    one dict that each step updates in place: its lex-leading term,
-    max(rem), is cancelled against f's leading term, and only the terms
-    that f's other terms touch are rewritten.  A quotient term has
-    exponents in the box
-    [0, span(p) - span(f)], so a step outside it is a miss too; that keeps
-    every exponent of the remainder within span(p).
-    """
-    pc, fc = p._coeffs, f._coeffs
-    lead_c = f._denom
-    if pc[max(pc)] % lead_c or pc[min(pc)] % fc[min(fc)]:
-        return None
-    u = p.universe
-    p_low, p_high = u._box(pc)
-    f_high = u._box(fc)[1]
-    room = [ph - pl - fh for pl, ph, fh in zip(p_low, p_high, f_high)]
-    if room and min(room) < 0:
-        return None
-    p_off = u._key(p_low)
-    rem = {k - p_off: c for k, c in pc.items()}
-    lead = max(fc)
-    rest = [(k, c) for k, c in fc.items() if k != lead]
-    # with every digit below half the range, adding the guard bits keeps
-    # each digit's top bit exactly when that digit is nonnegative
-    guard = u._guard
-    top_q = u._key(room) + guard
-    quot = []
-    get = rem.get
-    while rem:
-        top = max(rem)
-        top_c = rem.pop(top)
-        q = top - lead
-        if (q + guard) & (top_q - q) & guard != guard:
-            return None
-        q_c, r = divmod(top_c, lead_c)
-        if r:
-            return None
-        quot.append((q, q_c))
-        for e, c in rest:
-            key = q + e
-            d = q_c * c
-            old = get(key)
-            if old is None:
-                rem[key] = -d
-            elif old != d:
-                rem[key] = old - d
-            else:
-                del rem[key]
-    # undo the shift: p/f = x^p_low * quotient * f._denom / p._denom
-    bound = _check_bound(max([0] + [max(abs(pl), abs(ph - fh))
-                                    for pl, ph, fh
-                                    in zip(p_low, p_high, f_high)]))
-    return _canonical(u, {q + p_off: c * lead_c for q, c in quot},
-                      p._denom, bound)
 
 
 def _unit_inverse(m: LaurentPoly) -> LaurentPoly:
@@ -785,8 +713,10 @@ class RatFunc:
     """Quotient of Laurent polynomials with cross-multiplication equality.
 
     The denominator is held as a multiset of irreducible-as-built factors,
-    each normalized by _normalize_den, which lets sums share denominators and lets exact trial
-    division cancel factors cheaply.  No polynomial gcd is ever computed;
+    each normalized by _normalize_den, which lets sums share denominators.
+    After a sum or product, trial division (_exact_div) cancels the
+    binomial factors of the local classes that divide the numerator; any
+    other factor stays.  No polynomial gcd is ever computed, and
     correctness never relies on cancellation succeeding.
 
     The expanded denominator satisfies the canonical shift: its minimum

@@ -145,6 +145,12 @@ class DictPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
 
+    def to_laurent(self) -> LaurentPoly:
+        """The LaurentPoly constructor's storage of these terms in
+        descending order: keys in order, the least common denominator and
+        bound max |exponent|."""
+        return LaurentPoly(self.universe, dict(self.sorted_terms()))
+
     def __str__(self) -> str:
         parts = []
         for e, c in self.sorted_terms():

@@ -156,34 +156,55 @@ def test_range_edges(command, option, lo, hi, capsys, monkeypatch):
             % (where, label, lo, hi, value)
 
 
-# The largest k of the orbit classes at each n, where it is below the
-# shared range's 7, written out like RANGES.
+# The largest k of the orbit classes, of conf-affine and of a conf-proj
+# fixed point at each n, where it is below the shared range's 7, written
+# out like RANGES.
 ORBIT_K_EDGES = [(3, 5), (4, 4), (5, 3), (6, 2)]
+AFFINE_K_EDGES = [(6, 5)]
+PROJ_POINT_EDGES = [(6, 6)]
+
+
+def _class_size_edges(command, option, edges, capsys, monkeypatch):
+    """The largest size at each n reaches the builder, one more is refused
+    before it runs, and --help names each of these edges."""
+    def stub(args):
+        size = getattr(args, option)
+        raise Reached(args.n, len(size) if option in cli.LISTS else size)
+
+    def argv(n, size):
+        value = ",".join(["1"] * size) if option in cli.LISTS else str(size)
+        return [command, "--n", str(n), "--" + option, value]
+
+    label = option + " length" if option in cli.LISTS else option
+    text, params, _ = cli.CLASSES[command]
+    monkeypatch.setitem(cli.CLASSES, command, (text, params, stub))
+    for n, size in edges:
+        with pytest.raises(Reached) as exc:
+            cli.main(argv(n, size))
+        assert exc.value.args == (n, size)
+        assert run(argv(n, size + 1), capsys) == (
+            2, "", "error: %s takes --%s in 1..%d at --n %d, got %d\n"
+            % (command, label, size, n, size + 1))
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--%s %s 1..7; at most " % (option, option.upper()) + ", ".join(
+        "%d at n = %d" % (size, n) for n, size in edges) in text
 
 
 @pytest.mark.parametrize("command", ["orbit", "orbit-full"])
 def test_orbit_k_range_by_n(command, capsys, monkeypatch):
-    # the largest k at each n reaches the builder, one more is refused
-    # before it runs, and --help names each of these edges
-    def stub(args):
-        raise Reached(args.n, args.k)
+    _class_size_edges(command, "k", ORBIT_K_EDGES, capsys, monkeypatch)
 
-    text, params, _ = cli.CLASSES[command]
-    monkeypatch.setitem(cli.CLASSES, command, (text, params, stub))
-    for n, k in ORBIT_K_EDGES:
-        argv = [command, "--n", str(n), "--k", str(k)]
-        with pytest.raises(Reached) as exc:
-            cli.main(argv)
-        assert exc.value.args == (n, k)
-        argv[-1] = str(k + 1)
-        assert run(argv, capsys) == (
-            2, "", "error: %s takes --k in 1..%d at --n %d, got %d\n"
-            % (command, k, n, k + 1))
-    with pytest.raises(SystemExit):
-        cli.main([command, "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert "--k K 1..7; at most " + ", ".join(
-        "%d at n = %d" % (k, n) for n, k in ORBIT_K_EDGES) in text
+
+def test_conf_affine_k_range_by_n(capsys, monkeypatch):
+    _class_size_edges("conf-affine", "k", AFFINE_K_EDGES, capsys,
+                      monkeypatch)
+
+
+def test_conf_proj_point_range_by_n(capsys, monkeypatch):
+    _class_size_edges("conf-proj", "point", PROJ_POINT_EDGES, capsys,
+                      monkeypatch)
 
 
 # The largest order of `check s2` and `check s2-full` at each n, where it
@@ -394,7 +415,7 @@ def test_a_table_by_n_follows_n():
         + [params for params, _ in cli.CHECKS.values()]
     tables = [params for params in rows
               if any(isinstance(hi, dict) for _, _, hi in params.values())]
-    assert len(tables) == 5
+    assert len(tables) == 7
     for params in tables:
         assert list(params)[0] == "n"
 
