@@ -131,7 +131,12 @@ def lambda_classes(t: TorusData, weights):
     space at a fixed point with these tangent weights.  Over the weights
     a_j of C^n they are the class of C^n and the Euler class of its
     origin."""
-    lines = [mc_line_classes(w) for w in weights]
+    return _lambdas(t, [mc_line_classes(w) for w in weights])
+
+
+def _lambdas(t: TorusData, lines):
+    """`lambda_classes` from the line classes (origin, line, punctured) of
+    the weights, built already."""
     return (t.one().unreduced_product([line for _, line, _ in lines]),
             t.one().unreduced_product([origin for origin, _, _ in lines]))
 
@@ -262,6 +267,68 @@ def _orbit_points(t: TorusData, k: int) -> list:
     return rows if t.beta else rows * k
 
 
+def _lifted_factors(t: TorusData):
+    """The `fixed_point_factor`s L_1..L_n lifted to their common
+    denominator, as RatFuncs with no factor, and the reciprocal of that
+    denominator.  The factors of the L_i cancel only in a whole sum over
+    the fixed points, so a sum over the lifted L_i needs no factor until
+    its one product with the reciprocal, which cancels them all."""
+    lifted, recip = RatFunc.over_common_den(
+        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
+    return [RatFunc(num) for num in lifted], recip
+
+
+def _fixed_point_weights(t: TorusData, lines):
+    """block -> w(B) = sum_i L_i prod_{a in B} Psi_{i,a}, summed over the n
+    fixed points of projective (n-1)-space: the lifted L_i of
+    `_lifted_factors` times the `_psi` of the rows of `lines` in the block,
+    then one product with the shared reciprocal."""
+    lifted, recip = _lifted_factors(t)
+    psis = [[_psi(row, i) for row in lines] for i in range(1, t.n + 1)]
+
+    def weight(block):
+        return reduce(operator.add, [
+            reduce(operator.mul, [row[a - 1] for a in block], prod)
+            for prod, row in zip(lifted, psis)]) * recip
+
+    return weight
+
+
+def _residue_weights(t: TorusData, lines):
+    """block -> the same w(B) summed over the |B| poles z = 1/b_a of the
+    residue identity in `_orbit_sums`, with scaling weights:
+
+    w(B) = (1+y)^(|B|-1) [(-1)^|B| prod_{a in B} lambda_{-1}(a)
+           + sum_{a in B} lambda_y(a) prod_{a' != a} lambda_{-1}(a')
+                          b_a/(b_a' - b_a)],
+
+    lambda_y(a) and lambda_{-1}(a) the products of the line and of the
+    origin classes in row a of `lines`.  A singleton is lambda_y(a) -
+    lambda_{-1}(a).  A larger block is summed over prod (b_a' - b_a) with
+    `RatFunc.over_common_den` and multiplied once by the reciprocal: w(B)
+    is a Laurent polynomial, so every factor of it divides."""
+    lams = [_lambdas(t, row) for row in lines]
+    bs = [LaurentPoly.var(t.universe, name) for name in t.beta]
+    one_plus_y = 1 + t.y
+
+    def weight(block):
+        if len(block) == 1:
+            lam_y, lam_m1 = lams[block[0] - 1]
+            return lam_y - lam_m1
+        parts = [(-1) ** len(block) * t.one().unreduced_product(
+            [lams[a - 1][1] for a in block])]
+        for a in block:
+            others = [c for c in block if c != a]
+            parts.append(lams[a - 1][0].unreduced_product(
+                [lams[c - 1][1] for c in others]
+                + [RatFunc(bs[a - 1], bs[c - 1] - bs[a - 1]) for c in others]))
+        nums, recip = RatFunc.over_common_den(parts)
+        return (RatFunc(reduce(operator.add, nums)) * recip
+                * one_plus_y ** (len(block) - 1))
+
+    return weight
+
+
 def _orbit_sums(t: TorusData, lines):
     """The orbit partition sums as a function of m = 0..k, k = len(lines):
     S(m) = sum over set partitions P of [m] of a(P) prod_{B in P} w(B),
@@ -269,33 +336,48 @@ def _orbit_sums(t: TorusData, lines):
     L_i the `fixed_point_factor` at i and Psi_{i,a} the `_psi` of row a of
     the `_orbit_points` table `lines`.
 
-    The factors of the L_i cancel only in a whole sum over the fixed
-    points, so each w(B) is summed over the L_i lifted to their common
-    denominator, with no factor, and its one product with the shared
-    reciprocal of that denominator cancels them all.  Over T^n alone w(B)
-    = sum_i L_i Psi_i^|B| depends only on |B|: one weight per block size,
-    each running product one product on from the last, summed by
-    `block_size_sums`.  With scaling weights each block's weight is built
-    once, so the sums over [k] and over [k - 1] share it, and S(m) is
-    `partition_sum`, the definition."""
-    lifted, recip = RatFunc.over_common_den(
-        [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
-    lifted = [RatFunc(num) for num in lifted]
+    Over T^n alone w(B) = sum_i L_i Psi_i^|B| depends only on |B|: one
+    weight per block size, each running product one product on from the
+    last over the lifted L_i of `_lifted_factors`, summed by
+    `block_size_sums`.
+
+    With scaling weights each block's weight is built once, so the sums
+    over [k] and over [k - 1] share it, and S(m) is `partition_sum`, the
+    definition.  w(B) is either side of one residue identity, whichever
+    has fewer terms: the sum over the n fixed points
+    (`_fixed_point_weights`) for |B| >= n, the sum over the |B| poles
+    1/b_a (`_residue_weights`) for |B| < n.  So the L_i and the Psi rows
+    are built only when k >= n.  The identity: with
+
+        Phi(z) = prod_j (a_j + y z)/(a_j - z),
+        g_B(z) = prod_{a in B} (1+y)/(b_a z - 1),
+
+    prod_{a in B} Psi_{i,a} = prod_{a in B} lambda_{-1}(a) g_B(a_i), and
+    Phi(z) g_B(z)/z has the residues
+    - -(1+y) L_i g_B(a_i) at z = a_i,
+    - (-1)^|B| (1+y)^|B| at z = 0,
+    - (1+y)^|B| (lambda_y/lambda_{-1})(a) prod_{a' != a} b_a/(b_a' - b_a)
+      at z = 1/b_a,
+    and none at infinity, where it is O(z^(-|B|-1)).  The residues on the
+    projective line sum to 0 (Atiyah-Bott, Topology 23, 1984; Weber,
+    Selecta Math. 22, 2016), and times prod_{a in B} lambda_{-1}(a)/(1+y)
+    that is the `_residue_weights` formula.  Over T^n every b_a is 1, the
+    poles coalesce and the formula does not apply."""
     if not t.beta:
+        lifted, recip = _lifted_factors(t)
         psis = [_psi(lines[0], i) for i in range(1, t.n + 1)]
         xs = []
         for _ in lines:
             lifted = [prod * psi for prod, psi in zip(lifted, psis)]
             xs.append(reduce(operator.add, lifted) * recip)
         return block_size_sums(xs, t.one()).__getitem__
-    psis = [[_psi(row, i) for row in lines] for i in range(1, t.n + 1)]
+    residue = _residue_weights(t, lines)
+    fixed = _fixed_point_weights(t, lines) if len(lines) >= t.n else None
     built = {}
 
     def weight(block):
         if block not in built:
-            built[block] = reduce(operator.add, [
-                reduce(operator.mul, [row[a - 1] for a in block], prod)
-                for prod, row in zip(lifted, psis)]) * recip
+            built[block] = (residue if len(block) < t.n else fixed)(block)
         return built[block]
 
     def sum_over(m):

@@ -61,7 +61,7 @@ def _parse_list(option: str, text: str, convert) -> list:
 # N-th residue term.
 AFFINE_K_MAX = {1: 7, 2: 7, 3: 7, 4: 7, 5: 7, 6: 5}
 PROJ_POINT_MAX = {1: 7, 2: 7, 3: 7, 4: 7, 5: 7, 6: 6}
-ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 2}
+ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 3}
 S2_N_MAX = {1: 18, 2: 18, 3: 10, 4: 6, 5: 4, 6: 2}
 RECURSION_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 3}
 ALPHAS_MAX = 32

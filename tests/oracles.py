@@ -208,6 +208,17 @@ def ratfunc_storage(f: RatFunc):
     return poly(f.num), [(poly(g), power) for g, power in f._factors.items()]
 
 
+def ratfunc_image(f: RatFunc):
+    """The value a RatFunc stores, apart from key order and bounds: the
+    numerator terms as a set over its denominator, and the multiset of
+    factors, each as its term set and denominator.  This is the image
+    `Case.fingerprint` of the benchmark takes."""
+    def poly(p):
+        return frozenset(p._coeffs.items()), p._denom
+    return poly(f.num), frozenset((poly(g), power)
+                                  for g, power in f._factors.items())
+
+
 def line_classes_by_arithmetic(w: RatFunc):
     """`classes.mc_line_classes` by Laurent arithmetic on the one inverse
     m of the unit w: 1 - m, y m + 1 and their difference (1 + y) m, each a

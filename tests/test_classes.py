@@ -22,7 +22,7 @@ from oracles import (euler_point_beta, euler_reciprocal_by_division,
                      lambda_classes_by_products, line_classes_by_arithmetic,
                      mc_orbit_conf_pairwise, mc_orbit_full_composed,
                      mc_orbit_full_expanded, proj_tangent_weights_by_division,
-                     ratfunc_storage)
+                     ratfunc_image, ratfunc_storage)
 
 
 def _one_block(k):
@@ -508,11 +508,14 @@ _ORBIT_SIZES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(2, 4), (4, 2)]
 
 @pytest.mark.parametrize("n,k", _ORBIT_SIZES)
 def test_orbit_conf_matches_the_pairwise_sum(n, k):
-    # the same storage as summing each block weight pairwise: numerator
-    # keys in order, denominators, bounds, factor order and powers
+    # the same value as summing each block weight pairwise over the fixed
+    # points, stored alike: numerator terms, denominators and factors.  The
+    # key order and bounds may differ, because blocks of fewer than n
+    # points are summed over the poles 1/b_a instead
     t = TorusData.standard(n, k=k)
-    assert ratfunc_storage(mc_orbit_conf(t, k)) \
-        == ratfunc_storage(mc_orbit_conf_pairwise(t, k))
+    got, want = mc_orbit_conf(t, k), mc_orbit_conf_pairwise(t, k)
+    assert got == want
+    assert ratfunc_image(got) == ratfunc_image(want)
 
 
 @pytest.mark.parametrize("n,k", _ORBIT_SIZES)
@@ -579,16 +582,17 @@ def test_orbit_full_builds_each_block_weight_once(monkeypatch):
 
 
 def test_block_weight_divisions_all_hit(monkeypatch):
-    # the fixed-point sum of a block weight is formed over the common
-    # denominator of the L_i, so each of its factors divides it
-    results = []
+    # each side of a block weight is formed over one common denominator,
+    # and the weight is a Laurent polynomial, so each factor divides it; a
+    # singleton has no denominator
+    results = {}
     inside = []
     real_div, real_sum = laurent._exact_div, classes.partition_sum
 
     def recording_div(p, f):
         q = real_div(p, f)
         if inside:
-            results.append(q is not None)
+            results.setdefault(inside[-1], []).append(q is not None)
         return q
 
     def recording_sum(p0, block_weight, one):
@@ -602,9 +606,48 @@ def test_block_weight_divisions_all_hit(monkeypatch):
 
     monkeypatch.setattr(laurent, "_exact_div", recording_div)
     monkeypatch.setattr(classes, "partition_sum", recording_sum)
+    pairs, triple = [(1, 2), (1, 3), (2, 3)], (1, 2, 3)
     mc_orbit_conf(TorusData.standard(3, k=3), 3)
-    # 7 blocks, each over the 3 factors a_i - a_j
-    assert results == [True] * 21
+    # the pairs over the pole side, each over its factor b_a' - b_a; the
+    # triple over the fixed points, over the 3 factors a_i - a_j
+    assert results == {**{b: [True] for b in pairs}, triple: [True] * 3}
+    results.clear()
+    mc_orbit_conf(TorusData.standard(2, k=3), 3)
+    # at n = 2 every block of 2 or 3 points is over the fixed points, over
+    # the one factor a_1 - a_2
+    assert results == {b: [True] for b in pairs + [triple]}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_block_weight_residue_identity(n):
+    # the sum over the poles 1/b_a equals the sum over the fixed points for
+    # every block of [4], whichever side the class takes for it
+    t = TorusData.standard(n, k=4)
+    lines = classes._orbit_points(t, 4)
+    residue = classes._residue_weights(t, lines)
+    fixed = classes._fixed_point_weights(t, lines)
+    for size in range(1, 5):
+        for block in combinations(range(1, 5), size):
+            assert residue(block) == fixed(block)
+
+
+@pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
+@pytest.mark.parametrize("n,k,calls", [(3, 2, 0), (4, 3, 0), (2, 1, 0),
+                                       (3, 3, 3), (2, 3, 2), (1, 1, 1)])
+def test_orbit_classes_build_the_fixed_point_factors_from_n_points(
+        monkeypatch, build, n, k, calls):
+    # below n points every block is summed over the poles 1/b_a, so no L_i
+    # is built; from n points on the n of them are built once
+    factors = []
+    real_factor = classes.fixed_point_factor
+
+    def recording_factor(t, i):
+        factors.append(i)
+        return real_factor(t, i)
+
+    monkeypatch.setattr(classes, "fixed_point_factor", recording_factor)
+    build(TorusData.standard(n, k=k), k)
+    assert sorted(factors) == list(range(1, calls + 1))
 
 
 def test_mc_orbit_full_k1():

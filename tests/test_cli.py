@@ -159,7 +159,7 @@ def test_range_edges(command, option, lo, hi, capsys, monkeypatch):
 # The largest k of the orbit classes, of conf-affine and of a conf-proj
 # fixed point at each n, where it is below the shared range's 7, written
 # out like RANGES.
-ORBIT_K_EDGES = [(3, 5), (4, 4), (5, 3), (6, 2)]
+ORBIT_K_EDGES = [(3, 5), (4, 4), (5, 3), (6, 3)]
 AFFINE_K_EDGES = [(6, 5)]
 PROJ_POINT_EDGES = [(6, 6)]
 

@@ -226,11 +226,11 @@ GOLDEN = """\
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 3 --k 6
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 4 --k 5
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 5 --k 4
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 6 --k 3
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit --n 6 --k 4
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 3 --k 6
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 4 --k 5
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 5 --k 4
-2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 6 --k 3
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 orbit-full --n 6 --k 4
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-affine --n 6 --k 6
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-proj --n 6 --point 1,1,2,2,3,3,4
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conf-proj --n 0 --point 1
