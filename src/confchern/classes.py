@@ -128,17 +128,11 @@ def _origin_reciprocal(origin: RatFunc) -> RatFunc:
 def lambda_classes(t: TorusData, weights):
     """The products over the weights w of the line classes 1 + y/w and of
     the origin classes 1 - 1/w: lambda_y and lambda_{-1} of the cotangent
-    space at a fixed point with these tangent weights.  Over the weights
+    space at a fixed point with these tangent weights, read from the
+    weights' keys in one pass (`RatFunc.line_products`).  Over the weights
     a_j of C^n they are the class of C^n and the Euler class of its
     origin."""
-    return _lambdas(t, [mc_line_classes(w) for w in weights])
-
-
-def _lambdas(t: TorusData, lines):
-    """`lambda_classes` from the line classes (origin, line, punctured) of
-    the weights, built already."""
-    return (t.one().unreduced_product([line for _, line, _ in lines]),
-            t.one().unreduced_product([origin for origin, _, _ in lines]))
+    return t.one().line_products(weights, "y")
 
 
 def proj_tangent_weights(t: TorusData, i: int) -> list:
@@ -169,15 +163,14 @@ def euler_reciprocal(t: TorusData, weights) -> RatFunc:
 
 def lambda_ratio(universe: VarUniverse, weights) -> RatFunc:
     """lambda_y over lambda_{-1} at a fixed point with these tangent
-    weights, prod_w (1 + y/w)/(1 - 1/w), and 1 for no weights: the line
-    classes times the origin reciprocals, one monomial weight at a time.
-    Each 1 - 1/w stays a denominator factor of its own.  Line and origin
-    classes are distinct irreducible binomials, so none is trial-divided."""
-    parts = []
-    for w in weights:
-        origin, line, _ = mc_line_classes(w)
-        parts += [line, _origin_reciprocal(origin)]
-    return RatFunc.const(universe, 1).unreduced_product(parts)
+    weights, prod_w (1 + y/w)/(1 - 1/w), and 1 for no weights: lambda_y,
+    read from the weights' keys (`RatFunc.line_products`), times the
+    reciprocals of the origin classes.  Each 1 - 1/w stays a denominator
+    factor of its own.  Line and origin classes are distinct irreducible
+    binomials, so none is trial-divided."""
+    recips = [_origin_reciprocal(mc_line_classes(w)[0]) for w in weights]
+    return RatFunc.const(universe, 1).unreduced_product(recips) \
+        .line_products(weights, "y")[0]
 
 
 def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
@@ -244,27 +237,31 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     return acc
 
 
-def _psi(lines, i: int) -> RatFunc:
-    """Psi_i = prod_j psi_ij of one point, from the line classes of its n
-    weights: the punctured line class at j = i and the origin class
-    otherwise."""
-    return reduce(operator.mul, [punctured if j == i else origin for j, (
-        origin, _, punctured) in enumerate(lines, start=1)])
+def _psi(point, i: int) -> RatFunc:
+    """Psi_i = prod_j psi_ij of one point of the `_orbit_points` table: the
+    punctured line class at the i-th weight times the origin classes of
+    the others, lambda_{-1} of the other weights, read from their keys
+    (`RatFunc.line_products`)."""
+    weights, row = point
+    return row[i - 1][2].line_products(weights[:i - 1] + weights[i:],
+                                       "y")[1]
 
 
 def _orbit_points(t: TorusData, k: int) -> list:
-    """The line classes of the n weights b_a a_j of each point a = 1..k,
-    built once: row a is `mc_line_classes` at b_a a_1, ..., b_a a_n.  Over
-    T^n alone every b_a is 1, so the k points share one row, built from
-    a_1..a_n."""
+    """The n weights b_a a_j of each point a = 1..k with their line
+    classes, built once: point a is the pair of b_a a_1, ..., b_a a_n and
+    the row of `mc_line_classes` at each.  Over T^n alone every b_a is 1,
+    so the k points share one pair, built from a_1..a_n."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
     # a scaled torus names the weight b_a of every point
     if 0 < len(t.beta) < k:
         raise ValueError("need no beta names or at least k of them")
-    rows = [[mc_line_classes(t.point_weight(a, j)) for j in range(1, t.n + 1)]
-            for a in range(1, (k if t.beta else 1) + 1)]
-    return rows if t.beta else rows * k
+    points = []
+    for a in range(1, (k if t.beta else 1) + 1):
+        weights = [t.point_weight(a, j) for j in range(1, t.n + 1)]
+        points.append((weights, [mc_line_classes(w) for w in weights]))
+    return points if t.beta else points * k
 
 
 def _lifted_factors(t: TorusData):
@@ -278,13 +275,14 @@ def _lifted_factors(t: TorusData):
     return [RatFunc(num) for num in lifted], recip
 
 
-def _fixed_point_weights(t: TorusData, lines):
+def _fixed_point_weights(t: TorusData, points):
     """block -> w(B) = sum_i L_i prod_{a in B} Psi_{i,a}, summed over the n
     fixed points of projective (n-1)-space: the lifted L_i of
-    `_lifted_factors` times the `_psi` of the rows of `lines` in the block,
-    then one product with the shared reciprocal."""
+    `_lifted_factors` times the `_psi` of the `points` in the block, then
+    one product with the shared reciprocal."""
     lifted, recip = _lifted_factors(t)
-    psis = [[_psi(row, i) for row in lines] for i in range(1, t.n + 1)]
+    psis = [[_psi(point, i) for point in points]
+            for i in range(1, t.n + 1)]
 
     def weight(block):
         return reduce(operator.add, [
@@ -294,7 +292,7 @@ def _fixed_point_weights(t: TorusData, lines):
     return weight
 
 
-def _residue_weights(t: TorusData, lines):
+def _residue_weights(t: TorusData, points):
     """block -> the same w(B) summed over the |B| poles z = 1/b_a of the
     residue identity in `_orbit_sums`, with scaling weights:
 
@@ -302,12 +300,12 @@ def _residue_weights(t: TorusData, lines):
            + sum_{a in B} lambda_y(a) prod_{a' != a} lambda_{-1}(a')
                           b_a/(b_a' - b_a)],
 
-    lambda_y(a) and lambda_{-1}(a) the products of the line and of the
-    origin classes in row a of `lines`.  A singleton is lambda_y(a) -
+    lambda_y(a) and lambda_{-1}(a) the `lambda_classes` of the weights of
+    point a of `points`.  A singleton is lambda_y(a) -
     lambda_{-1}(a).  A larger block is summed over prod (b_a' - b_a) with
     `RatFunc.over_common_den` and multiplied once by the reciprocal: w(B)
     is a Laurent polynomial, so every factor of it divides."""
-    lams = [_lambdas(t, row) for row in lines]
+    lams = [lambda_classes(t, weights) for weights, _ in points]
     bs = [LaurentPoly.var(t.universe, name) for name in t.beta]
     one_plus_y = 1 + t.y
 
@@ -329,12 +327,12 @@ def _residue_weights(t: TorusData, lines):
     return weight
 
 
-def _orbit_sums(t: TorusData, lines):
-    """The orbit partition sums as a function of m = 0..k, k = len(lines):
+def _orbit_sums(t: TorusData, points):
+    """The orbit partition sums as a function of m = 0..k, k = len(points):
     S(m) = sum over set partitions P of [m] of a(P) prod_{B in P} w(B),
     S(0) = 1, at the block weights w(B) = sum_i L_i prod_{a in B} Psi_{i,a},
-    L_i the `fixed_point_factor` at i and Psi_{i,a} the `_psi` of row a of
-    the `_orbit_points` table `lines`.
+    L_i the `fixed_point_factor` at i and Psi_{i,a} the `_psi` of point a
+    of the `_orbit_points` table `points`.
 
     Over T^n alone w(B) = sum_i L_i Psi_i^|B| depends only on |B|: one
     weight per block size, each running product one product on from the
@@ -344,10 +342,12 @@ def _orbit_sums(t: TorusData, lines):
     With scaling weights each block's weight is built once, so the sums
     over [k] and over [k - 1] share it, and S(m) is `partition_sum`, the
     definition.  w(B) is either side of one residue identity, whichever
-    has fewer terms: the sum over the n fixed points
-    (`_fixed_point_weights`) for |B| >= n, the sum over the |B| poles
-    1/b_a (`_residue_weights`) for |B| < n.  So the L_i and the Psi rows
-    are built only when k >= n.  The identity: with
+    builds faster: the sum over the |B| poles 1/b_a (`_residue_weights`)
+    for |B| < n, and for |B| = n from n = 3 on; the sum over the n fixed
+    points (`_fixed_point_weights`) for the larger blocks, and for |B| = n
+    at n <= 2, where it is the faster (0.10 ms against 0.16 ms for a pair
+    at n = 2).  So the L_i and the Psi rows are built only when some block
+    takes the fixed points: when k > n, or k = n <= 2.  The identity: with
 
         Phi(z) = prod_j (a_j + y z)/(a_j - z),
         g_B(z) = prod_{a in B} (1+y)/(b_a z - 1),
@@ -365,19 +365,21 @@ def _orbit_sums(t: TorusData, lines):
     poles coalesce and the formula does not apply."""
     if not t.beta:
         lifted, recip = _lifted_factors(t)
-        psis = [_psi(lines[0], i) for i in range(1, t.n + 1)]
+        psis = [_psi(points[0], i) for i in range(1, t.n + 1)]
         xs = []
-        for _ in lines:
+        for _ in points:
             lifted = [prod * psi for prod, psi in zip(lifted, psis)]
             xs.append(reduce(operator.add, lifted) * recip)
         return block_size_sums(xs, t.one()).__getitem__
-    residue = _residue_weights(t, lines)
-    fixed = _fixed_point_weights(t, lines) if len(lines) >= t.n else None
+    # the largest block summed over the poles
+    top = t.n if t.n >= 3 else t.n - 1
+    residue = _residue_weights(t, points)
+    fixed = _fixed_point_weights(t, points) if len(points) > top else None
     built = {}
 
     def weight(block):
         if block not in built:
-            built[block] = (residue if len(block) < t.n else fixed)(block)
+            built[block] = (residue if len(block) <= top else fixed)(block)
         return built[block]
 
     def sum_over(m):
@@ -403,19 +405,19 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     part plus k copies of the one-fewer-vector part, each over the Euler
     class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1),
     S(k) R_1...R_k + k S(k - 1) R_1...R_(k-1).  S is `_orbit_sums`, and R_a
-    is the reciprocal of the origin classes in row a of the
+    is the reciprocal of the origin classes of point a of the
     `_orbit_points` table, built as `euler_reciprocal` builds it.
 
     Right only at unit scaling weights b_a = 1: the stratum where the a-th
     vector vanishes belongs at the weights of the other points, and each of
     the k copies takes those of the first k - 1."""
-    lines = _orbit_points(t, k)
-    sums = _orbit_sums(t, lines)
-    # prods[a] = R_1...R_a; the points of T^n share one row and its R_a
+    points = _orbit_points(t, k)
+    sums = _orbit_sums(t, points)
+    # prods[a] = R_1...R_a; the points of T^n share one pair and its R_a
     prods = [t.one()]
-    for a, row in enumerate(lines):
-        if not a or row is not lines[a - 1]:
-            recip = _euler_reciprocal(t, [origin for origin, _, _ in row])
+    for a, point in enumerate(points):
+        if not a or point is not points[a - 1]:
+            recip = _euler_reciprocal(t, [origin for origin, _, _ in point[1]])
         prods.append(prods[-1] * recip)
     return sums(k) * prods[k] + k * (sums(k - 1) * prods[k - 1])
 

@@ -979,6 +979,58 @@ class RatFunc:
                 RatFunc._make(LaurentPoly._make(u, {kx: c, k: c}, d,
                                                 line_bound), {}))
 
+    def line_products(self, weights, name: str):
+        """self times prod_w (1 + x/w) and self times prod_w (1 - 1/w) over
+        units w and the variable x named `name`: with self 1, lambda_x and
+        lambda_{-1} of the characters w, the products of the line and of
+        the origin classes of `line_classes`.
+
+        Both are read from the weights' keys with no inverse and no class
+        object per weight.  With 1/w = c X^k over its denominator d, the
+        line class is (d + c X^(k + x))/d and the origin class
+        (d - c X^k)/d, so each weight doubles one packed-key -> numerator
+        dict per product, over the running denominator; each product then
+        takes one gcd and one object.  The bounds are what the chain of
+        Laurent products stores: self's plus max |e| of each 1/w, and one
+        more per weight in the line product.  Self's factors are carried
+        over, and nothing is trial-divided.  A weight that is not a unit
+        raises ValueError."""
+        u = self.universe
+        line = origin = self.num._coeffs
+        denom, bound = self.num._denom, self.num._bound
+        place = u._place[u.index(name)]
+        for w in weights:
+            _check_same(self, w)
+            if not w.is_unit():
+                raise ValueError("line products need unit weights, got %s"
+                                 % w)
+            # w = (p/q) X^-k, so 1/w = c X^k over d > 0
+            [(key, p)] = w.num._coeffs.items()
+            q, k = w.num._denom, -key
+            c, d = (q, p) if p > 0 else (-q, -p)
+            bound += max(map(abs, u._unpack(key)), default=0)
+            denom *= d
+            if d == 1:
+                new_line, new_origin = dict(line), dict(origin)
+            else:
+                new_line = {j: v * d for j, v in line.items()}
+                new_origin = {j: v * d for j, v in origin.items()}
+            kx = k + place
+            get = new_line.get
+            for j, v in line.items():
+                new_line[j + kx] = get(j + kx, 0) + c * v
+            get = new_origin.get
+            for j, v in origin.items():
+                new_origin[j + k] = get(j + k, 0) - c * v
+            line, origin = new_line, new_origin
+        line_bound = _check_bound(bound + len(weights))
+        return (RatFunc._make(_canonical(u, {j: v for j, v in line.items()
+                                             if v}, denom, line_bound),
+                              self._factors),
+                RatFunc._make(_canonical(u, {j: v for j, v in origin.items()
+                                             if v}, denom, bound),
+                              self._factors))
+
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("integer power expected")

@@ -208,6 +208,15 @@ def ratfunc_storage(f: RatFunc):
     return poly(f.num), [(poly(g), power) for g, power in f._factors.items()]
 
 
+def ratfunc_storage_sorted(f: RatFunc):
+    """`ratfunc_storage` with the numerator terms sorted by key: the
+    `ratfunc_image`, the bounds, and the factors in order with their own
+    storage, apart from the order in which the numerator's keys were
+    stored."""
+    (terms, denom, bound), factors = ratfunc_storage(f)
+    return (sorted(terms), denom, bound), factors
+
+
 def ratfunc_image(f: RatFunc):
     """The value a RatFunc stores, apart from key order and bounds: the
     numerator terms as a set over its denominator, and the multiset of
@@ -249,10 +258,10 @@ def proj_tangent_weights_by_division(t, i: int) -> list:
     return [t.a(j) / t.a(i) for j in range(1, t.n + 1) if j != i]
 
 
-def lambda_classes_by_products(t, weights):
+def lambda_classes_by_products(universe, weights):
     """`classes.lambda_classes` as two chains of RatFunc products, each
     reduced after every step."""
-    lam_y = lam_m1 = t.one()
+    lam_y = lam_m1 = RatFunc.const(universe, 1)
     for w in weights:
         origin, line, _ = line_classes_by_arithmetic(w)
         lam_y = lam_y * line
@@ -269,13 +278,32 @@ def euler_reciprocal_by_division(t, weights) -> RatFunc:
     return acc
 
 
-def fixed_point_factor_by_division(t, i: int) -> RatFunc:
-    """`classes.fixed_point_factor` as the chain acc * line / origin over
-    the weights a_j/a_i, each step inverted and trial-divided."""
-    acc = t.one()
-    for w in proj_tangent_weights_by_division(t, i):
+def lambda_ratio_by_division(universe, weights) -> RatFunc:
+    """`classes.lambda_ratio` as the chain acc * line / origin over the
+    weights, each step inverted and trial-divided."""
+    acc = RatFunc.const(universe, 1)
+    for w in weights:
         origin, line, _ = line_classes_by_arithmetic(w)
         acc = acc * line / origin
+    return acc
+
+
+def fixed_point_factor_by_division(t, i: int) -> RatFunc:
+    """`classes.fixed_point_factor` as `lambda_ratio_by_division` over the
+    weights a_j/a_i."""
+    return lambda_ratio_by_division(t.universe,
+                                    proj_tangent_weights_by_division(t, i))
+
+
+def psi_by_products(weights, i: int) -> RatFunc:
+    """`classes._psi` at the point with these weights by its definition:
+    the RatFunc product over j of the punctured class at j = i and the
+    origin class otherwise, each product reduced."""
+    acc = None
+    for j, w in enumerate(weights, start=1):
+        origin, _, punctured = line_classes_by_arithmetic(w)
+        c = punctured if j == i else origin
+        acc = c if acc is None else acc * c
     return acc
 
 

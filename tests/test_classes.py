@@ -15,14 +15,17 @@ from confchern.classes import (ProjFixedPoint, TorusData, euler_reciprocal,
                                mc_conf_proj_refinement_sum, mc_line_classes,
                                mc_orbit_conf, mc_orbit_full,
                                proj_tangent_weights, standard_universe)
-from confchern.laurent import LaurentPoly, RatFunc, VarUniverse
+from confchern.laurent import (EXP_LIMIT, ExponentOverflowError,
+                               LaurentPoly, RatFunc, VarUniverse)
 from confchern.partitions import SetPartition, partition_sum
 from oracles import (euler_point_beta, euler_reciprocal_by_division,
                      fixed_point_factor_by_division,
-                     lambda_classes_by_products, line_classes_by_arithmetic,
-                     mc_orbit_conf_pairwise, mc_orbit_full_composed,
-                     mc_orbit_full_expanded, proj_tangent_weights_by_division,
-                     ratfunc_image, ratfunc_storage)
+                     lambda_classes_by_products, lambda_ratio_by_division,
+                     line_classes_by_arithmetic, mc_orbit_conf_pairwise,
+                     mc_orbit_full_composed, mc_orbit_full_expanded,
+                     proj_tangent_weights_by_division, psi_by_products,
+                     ratfunc_image, ratfunc_storage, ratfunc_storage_sorted,
+                     residue_weights_by_division)
 
 
 def _one_block(k):
@@ -150,6 +153,99 @@ def test_lambda_classes_at_proj_fixed_points():
 
     with pytest.raises(ValueError):
         proj_tangent_weights(t2, 3)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_line_products_store_what_the_chains_store(seed):
+    # one pass over the weights' keys stores what the chains of RatFunc
+    # products of the line and of the origin classes store, apart from key
+    # order: over lists of 0 to 5 seeded units, constants, multiples of y
+    # and repeated weights among them, where classes merge into one term
+    # or vanish.  A value with factors carries them over, as
+    # unreduced_product does
+    weights = list(_random_weights(seed))
+    u = weights[0].universe
+    lead = RatFunc(LaurentPoly.var(u, "a1") + 3, LaurentPoly.var(u, "a2") - 1)
+    # the constants and multiples of y lead _random_weights
+    special, rest = weights[:8], weights[8:]
+    rng = random.Random("line products:%d" % seed)
+    zeros = set()
+    for _ in range(60):
+        ws = (rng.sample(special, rng.randint(0, 2))
+              + rng.sample(rest, rng.randint(0, 3)))
+        rng.shuffle(ws)
+        if ws and rng.random() < 0.3:
+            ws.append(ws[0])
+        want = lambda_classes_by_products(u, ws)
+        got = RatFunc.const(u, 1).line_products(ws, "y")
+        assert [ratfunc_storage_sorted(c) for c in got] \
+            == [ratfunc_storage_sorted(c) for c in want]
+        assert [ratfunc_storage_sorted(c)
+                for c in lead.line_products(ws, "y")] \
+            == [ratfunc_storage_sorted(lead.unreduced_product([c]))
+                for c in want]
+        zeros.update(i for i, c in enumerate(got) if c.is_zero())
+    # the weight -y has line class 0, and the weight 1 origin class 0
+    assert zeros == {0, 1}
+
+
+def test_line_products_of_no_weights_store_the_value():
+    t = TorusData.standard(2)
+    value = (1 + t.y) / (t.a(1) - 1)
+    assert [ratfunc_storage(c) for c in value.line_products([], "y")] \
+        == [ratfunc_storage(value)] * 2
+    assert [ratfunc_storage(c) for c in lambda_classes(t, [])] \
+        == [ratfunc_storage(t.one())] * 2
+
+
+@pytest.mark.parametrize("alphas", [
+    [Fraction(2)], [Fraction(2), Fraction(3)],
+    [Fraction(-2), Fraction(1, 2), Fraction(3)], [Fraction(-1), Fraction(2)]],
+    ids=["2", "2,3", "-2,1/2,3", "-1,2"])
+def test_line_products_at_rational_units(alphas):
+    # the residue check's weights a/z and the orbit exponent's constant
+    # weights alpha_j/alpha_i, whose origin classes 1 - 1/alpha are
+    # constants and make no factor
+    u = VarUniverse(("y", "z"))
+    z_inv = RatFunc.var(u, "z", -1)
+    scaled = [a * z_inv for a in alphas]
+    constant = [RatFunc.const(u, b / a) for a in alphas for b in alphas
+                if b != a]
+    for ws in (scaled, constant):
+        assert [ratfunc_storage_sorted(c)
+                for c in RatFunc.const(u, 1).line_products(ws, "y")] \
+            == [ratfunc_storage_sorted(c)
+                for c in lambda_classes_by_products(u, ws)]
+        assert ratfunc_storage_sorted(lambda_ratio(u, ws)) \
+            == ratfunc_storage_sorted(lambda_ratio_by_division(u, ws))
+    assert ratfunc_storage_sorted(lambda_ratio(u, scaled)) \
+        == ratfunc_storage_sorted(residue_weights_by_division(u, alphas))
+    assert not lambda_ratio(u, constant)._factors
+
+
+@pytest.mark.parametrize("weight", [
+    lambda t: t.a(1) + t.a(2), lambda t: 1 / (t.a(1) - 1),
+    lambda t: RatFunc.const(t.universe, 0)],
+    ids=["binomial", "factor", "zero"])
+def test_line_products_need_unit_weights(weight):
+    t = TorusData.standard(2)
+    with pytest.raises(ValueError, match="need unit weights"):
+        t.one().line_products([t.a(1), weight(t)], "y")
+    with pytest.raises(ValueError, match="need unit weights"):
+        lambda_classes(t, [weight(t)])
+
+
+def test_line_products_raise_past_the_exponent_limit():
+    # where the chain of line classes passes the exponent limit, so does
+    # the one pass; the origin product of the same weights stays within it
+    t = TorusData.standard(1)
+    w = RatFunc.var(t.universe, "a1", EXP_LIMIT // 2)
+    with pytest.raises(ExponentOverflowError):
+        lambda_classes_by_products(t.universe, [w, w])
+    with pytest.raises(ExponentOverflowError):
+        lambda_classes(t, [w, w])
+    assert t.one().unreduced_product([mc_line_classes(w)[0]] * 2) \
+        .num._bound == EXP_LIMIT - 1
 
 
 def _free_point_data():
@@ -295,13 +391,13 @@ def _torus(n, k):
 def _torus_block_weight(t):
     """The orbit block weight over T^n alone by its definition, w(B) =
     sum_i L_i Psi_i^|B|, with L_i the `fixed_point_factor` at i and Psi_i
-    the `_psi` of the line classes of a_1..a_n; the L_i are lifted over
-    their common denominator, so the sum over i is one lift and one
-    reduction, as the class builds it."""
+    the product of the line classes of a_1..a_n that defines it; the L_i
+    are lifted over their common denominator, so the sum over i is one
+    lift and one reduction, as the class builds it."""
     lifted, recip = RatFunc.over_common_den(
         [fixed_point_factor(t, i) for i in range(1, t.n + 1)])
-    lines = [mc_line_classes(t.a(j)) for j in range(1, t.n + 1)]
-    psis = [classes._psi(lines, i) for i in range(1, t.n + 1)]
+    weights = [t.a(j) for j in range(1, t.n + 1)]
+    psis = [psi_by_products(weights, i) for i in range(1, t.n + 1)]
 
     def weight(block):
         acc = RatFunc.const(t.universe, 0)
@@ -354,17 +450,22 @@ def test_torus_orbit_classes_run_no_partition_sum(build, monkeypatch):
 
 
 def test_orbit_points_share_one_row_over_the_torus_alone():
-    # over T^n alone the k points hold one row of line classes, at a_1..a_n;
-    # a scaled torus holds one row per point, at b_a a_1..b_a a_n
+    # over T^n alone the k points hold one pair of weights and line
+    # classes, at a_1..a_n; a scaled torus holds one pair per point, at
+    # b_a a_1..b_a a_n
     t = _torus(2, 3)
     torus = classes._orbit_points(t, 3)
-    assert len(torus) == 3 and all(row is torus[0] for row in torus)
-    assert [origin for origin, _, _ in torus[0]] \
+    assert len(torus) == 3 and all(point is torus[0] for point in torus)
+    weights, row = torus[0]
+    assert weights == [t.a(j) for j in (1, 2)]
+    assert [origin for origin, _, _ in row] \
         == [1 - 1 / t.a(j) for j in (1, 2)]
     t = TorusData.standard(2, k=3)
     scaled = classes._orbit_points(t, 3)
-    assert len({id(row) for row in scaled}) == 3
-    assert [[line for _, line, _ in row] for row in scaled] == [
+    assert len({id(point) for point in scaled}) == 3
+    assert [weights for weights, _ in scaled] == [
+        [t.b(a) * t.a(j) for j in (1, 2)] for a in (1, 2, 3)]
+    assert [[line for _, line, _ in row] for _, row in scaled] == [
         [1 + t.y / (t.b(a) * t.a(j)) for j in (1, 2)] for a in (1, 2, 3)]
 
 
@@ -403,28 +504,34 @@ def _local_weight_lists(n):
 def test_local_classes_store_what_division_stores(n):
     # products of line classes and origin reciprocals, with no inverse and
     # no trial division, store what the chains of RatFunc products and
-    # divisions store: numerator keys in order, denominators, bounds, and
-    # the factors in order with their powers
+    # divisions store: denominators, bounds, and the factors in order with
+    # their powers; the numerator terms too, in key order where no product
+    # is read from the weights' keys in one pass (`RatFunc.line_products`)
     t, weight_lists = _local_weight_lists(n)
     for i in range(1, n + 1):
         assert [ratfunc_storage(w) for w in proj_tangent_weights(t, i)] \
             == [ratfunc_storage(w)
                 for w in proj_tangent_weights_by_division(t, i)]
-        assert ratfunc_storage(fixed_point_factor(t, i)) \
-            == ratfunc_storage(fixed_point_factor_by_division(t, i))
+        assert ratfunc_storage_sorted(fixed_point_factor(t, i)) \
+            == ratfunc_storage_sorted(fixed_point_factor_by_division(t, i))
     for weights in weight_lists:
         assert ratfunc_storage(euler_reciprocal(t, weights)) \
             == ratfunc_storage(euler_reciprocal_by_division(t, weights))
-        assert [ratfunc_storage(c) for c in lambda_classes(t, weights)] \
-            == [ratfunc_storage(c)
-                for c in lambda_classes_by_products(t, weights)]
-    # each row of the scaled table, its three classes at every weight, and
-    # its R_a of mc_orbit_full
-    for a, row in enumerate(classes._orbit_points(t, 2), start=1):
-        weights = [t.b(a) * t.a(j) for j in range(1, n + 1)]
+        assert [ratfunc_storage_sorted(c)
+                for c in lambda_classes(t, weights)] \
+            == [ratfunc_storage_sorted(c)
+                for c in lambda_classes_by_products(t.universe, weights)]
+    # each point of the scaled table: its weights, its three classes at
+    # every weight, its Psi_i and its R_a of mc_orbit_full
+    for a, (weights, row) in enumerate(classes._orbit_points(t, 2), start=1):
+        assert [ratfunc_storage(w) for w in weights] \
+            == [ratfunc_storage(t.b(a) * t.a(j)) for j in range(1, n + 1)]
         assert [[ratfunc_storage(c) for c in lines] for lines in row] \
             == [[ratfunc_storage(c) for c in line_classes_by_arithmetic(w)]
                 for w in weights]
+        for i in range(1, n + 1):
+            assert ratfunc_storage_sorted(classes._psi((weights, row), i)) \
+                == ratfunc_storage_sorted(psi_by_products(weights, i))
         assert ratfunc_storage(classes._euler_reciprocal(
             t, [origin for origin, _, _ in row])) \
             == ratfunc_storage(euler_reciprocal_by_division(t, weights))
@@ -452,8 +559,10 @@ def test_local_classes_try_no_division(monkeypatch):
         for weights in weight_lists:
             euler_reciprocal(t, weights)
             lambda_classes(t, weights)
-        for row in classes._orbit_points(t, 2):
-            classes._euler_reciprocal(t, [origin for origin, _, _ in row])
+        for point in classes._orbit_points(t, 2):
+            classes._euler_reciprocal(t, [origin for origin, _, _ in point[1]])
+            for i in range(1, n + 1):
+                classes._psi(point, i)
     assert calls == []
 
 
@@ -542,11 +651,13 @@ def test_orbit_full_stores_what_its_parts_compose(n, k):
 
 
 def test_orbit_full_builds_each_block_weight_once(monkeypatch):
-    # the sums over [3] and over [2] read one table: each of the 7 blocks
-    # of [3] gets one weight object, and the L_i are built once.  The line
-    # classes are built once per weight: 6 for the L_i and 9 for the rows of
-    # the 9 weights b_a a_j, which give both the Psi rows and the reciprocal
-    # Euler classes
+    # the sums over [4] and over [3] read one table: each of the 15 blocks
+    # of [4] gets one weight object, and the L_i are built once, for the
+    # one block of 4 > n points.  The line classes are built once per
+    # weight: 6 for the L_i and 12 for the points of the 12 weights b_a a_j,
+    # which give both the punctured classes of the Psi rows and the
+    # reciprocal Euler classes.  At k = n = 3 every block is summed over
+    # the poles, so only the 9 of the points are built, and no L_i
     weights = {}
     factors = []
     lines = []
@@ -571,14 +682,16 @@ def test_orbit_full_builds_each_block_weight_once(monkeypatch):
     monkeypatch.setattr(classes, "partition_sum", recording_sum)
     monkeypatch.setattr(classes, "fixed_point_factor", recording_factor)
     monkeypatch.setattr(classes, "mc_line_classes", recording_lines)
-    mc_orbit_full(TorusData.standard(3, k=3), 3)
-    assert len(weights) == 7
+    mc_orbit_full(TorusData.standard(3, k=4), 4)
+    assert len(weights) == 15
     assert all(len(ids) == 1 for ids in weights.values())
     assert sorted(factors) == [1, 2, 3]
-    assert len(lines) == 15
+    assert len(lines) == 18
+    factors.clear()
     lines.clear()
     mc_orbit_conf(TorusData.standard(3, k=3), 3)
-    assert len(lines) == 15
+    assert factors == []
+    assert len(lines) == 9
 
 
 def test_block_weight_divisions_all_hit(monkeypatch):
@@ -608,8 +721,8 @@ def test_block_weight_divisions_all_hit(monkeypatch):
     monkeypatch.setattr(classes, "partition_sum", recording_sum)
     pairs, triple = [(1, 2), (1, 3), (2, 3)], (1, 2, 3)
     mc_orbit_conf(TorusData.standard(3, k=3), 3)
-    # the pairs over the pole side, each over its factor b_a' - b_a; the
-    # triple over the fixed points, over the 3 factors a_i - a_j
+    # every block over the pole side: a pair over its factor b_a' - b_a,
+    # the triple over the 3 factors b_a' - b_a of its pairs
     assert results == {**{b: [True] for b in pairs}, triple: [True] * 3}
     results.clear()
     mc_orbit_conf(TorusData.standard(2, k=3), 3)
@@ -623,9 +736,9 @@ def test_block_weight_residue_identity(n):
     # the sum over the poles 1/b_a equals the sum over the fixed points for
     # every block of [4], whichever side the class takes for it
     t = TorusData.standard(n, k=4)
-    lines = classes._orbit_points(t, 4)
-    residue = classes._residue_weights(t, lines)
-    fixed = classes._fixed_point_weights(t, lines)
+    points = classes._orbit_points(t, 4)
+    residue = classes._residue_weights(t, points)
+    fixed = classes._fixed_point_weights(t, points)
     for size in range(1, 5):
         for block in combinations(range(1, 5), size):
             assert residue(block) == fixed(block)
@@ -633,11 +746,13 @@ def test_block_weight_residue_identity(n):
 
 @pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
 @pytest.mark.parametrize("n,k,calls", [(3, 2, 0), (4, 3, 0), (2, 1, 0),
-                                       (3, 3, 3), (2, 3, 2), (1, 1, 1)])
+                                       (3, 3, 0), (3, 4, 3), (2, 3, 2),
+                                       (2, 2, 2), (1, 1, 1)])
 def test_orbit_classes_build_the_fixed_point_factors_from_n_points(
         monkeypatch, build, n, k, calls):
-    # below n points every block is summed over the poles 1/b_a, so no L_i
-    # is built; from n points on the n of them are built once
+    # blocks of fewer than n points, and from n = 3 on blocks of n points,
+    # are summed over the poles 1/b_a, so no L_i is built for them; once a
+    # block takes the fixed points, the n of them are built once
     factors = []
     real_factor = classes.fixed_point_factor
 
