@@ -146,31 +146,28 @@ def proj_tangent_weights(t: TorusData, i: int) -> list:
             for a_j in t.alpha if a_j != a_i]
 
 
-def _euler_reciprocal(t: TorusData, origins) -> RatFunc:
-    """prod w/(w - 1) over origin classes 1 - 1/w, one factor per class."""
-    return t.one().unreduced_product([_origin_reciprocal(origin)
-                                      for origin in origins])
-
-
 def euler_reciprocal(t: TorusData, weights) -> RatFunc:
     """The reciprocal of the Euler class prod_w (1 - 1/w) of monomial
     weights w, prod_w w / (w - 1) from the numerators of the origin
     classes.  Each binomial w - 1 stays a denominator factor of its own,
     so the reciprocals over overlapping lists of weights share their
     factors; no two of them can cancel, so none is trial-divided."""
-    return _euler_reciprocal(t, [mc_line_classes(w)[0] for w in weights])
+    return t.one().unreduced_product(
+        [_origin_reciprocal(mc_line_classes(w)[0]) for w in weights])
 
 
 def lambda_ratio(universe: VarUniverse, weights) -> RatFunc:
     """lambda_y over lambda_{-1} at a fixed point with these tangent
-    weights, prod_w (1 + y/w)/(1 - 1/w), and 1 for no weights: lambda_y,
-    read from the weights' keys (`RatFunc.line_products`), times the
-    reciprocals of the origin classes.  Each 1 - 1/w stays a denominator
-    factor of its own.  Line and origin classes are distinct irreducible
-    binomials, so none is trial-divided."""
-    recips = [_origin_reciprocal(mc_line_classes(w)[0]) for w in weights]
-    return RatFunc.const(universe, 1).unreduced_product(recips) \
-        .line_products(weights, "y")[0]
+    weights, prod_w (1 + y/w)/(1 - 1/w), and 1 for no weights: the line
+    class and the origin reciprocal of each weight, from its one
+    `mc_line_classes`, multiplied in turn.  Each 1 - 1/w stays a
+    denominator factor of its own.  Line and origin classes are distinct
+    irreducible binomials, so none is trial-divided."""
+    parts = []
+    for w in weights:
+        origin, line, _ = mc_line_classes(w)
+        parts += [line, _origin_reciprocal(origin)]
+    return RatFunc.const(universe, 1).unreduced_product(parts)
 
 
 def fixed_point_factor(t: TorusData, i: int) -> RatFunc:
@@ -237,30 +234,26 @@ def mc_conf_proj_at(t: TorusData, e: ProjFixedPoint) -> RatFunc:
     return acc
 
 
-def _psi(point, i: int) -> RatFunc:
-    """Psi_i = prod_j psi_ij of one point of the `_orbit_points` table: the
-    punctured line class at the i-th weight times the origin classes of
-    the others, lambda_{-1} of the other weights, read from their keys
-    (`RatFunc.line_products`)."""
-    weights, row = point
-    return row[i - 1][2].line_products(weights[:i - 1] + weights[i:],
-                                       "y")[1]
+def _psi(weights, i: int) -> RatFunc:
+    """Psi_i = prod_j psi_ij of the point with these n weights: the
+    punctured line class at the i-th weight (`mc_line_classes`) times the
+    origin classes of the others, lambda_{-1} of the other weights, read
+    from their keys (`RatFunc.line_products`)."""
+    return mc_line_classes(weights[i - 1])[2].line_products(
+        weights[:i - 1] + weights[i:], "y")[1]
 
 
 def _orbit_points(t: TorusData, k: int) -> list:
-    """The n weights b_a a_j of each point a = 1..k with their line
-    classes, built once: point a is the pair of b_a a_1, ..., b_a a_n and
-    the row of `mc_line_classes` at each.  Over T^n alone every b_a is 1,
-    so the k points share one pair, built from a_1..a_n."""
+    """The n weights b_a a_1, ..., b_a a_n of each point a = 1..k.  Over
+    T^n alone every b_a is 1, so the k points share one list, a_1..a_n.
+    Each consumer builds the classes it reads from these weights."""
     if k < 1:
         raise ValueError("k must be at least 1, got %d" % k)
     # a scaled torus names the weight b_a of every point
     if 0 < len(t.beta) < k:
         raise ValueError("need no beta names or at least k of them")
-    points = []
-    for a in range(1, (k if t.beta else 1) + 1):
-        weights = [t.point_weight(a, j) for j in range(1, t.n + 1)]
-        points.append((weights, [mc_line_classes(w) for w in weights]))
+    points = [[t.point_weight(a, j) for j in range(1, t.n + 1)]
+              for a in range(1, (k if t.beta else 1) + 1)]
     return points if t.beta else points * k
 
 
@@ -305,7 +298,7 @@ def _residue_weights(t: TorusData, points):
     lambda_{-1}(a).  A larger block is summed over prod (b_a' - b_a) with
     `RatFunc.over_common_den` and multiplied once by the reciprocal: w(B)
     is a Laurent polynomial, so every factor of it divides."""
-    lams = [lambda_classes(t, weights) for weights, _ in points]
+    lams = [lambda_classes(t, weights) for weights in points]
     bs = [LaurentPoly.var(t.universe, name) for name in t.beta]
     one_plus_y = 1 + t.y
 
@@ -331,13 +324,13 @@ def _orbit_sums(t: TorusData, points):
     """The orbit partition sums as a function of m = 0..k, k = len(points):
     S(m) = sum over set partitions P of [m] of a(P) prod_{B in P} w(B),
     S(0) = 1, at the block weights w(B) = sum_i L_i prod_{a in B} Psi_{i,a},
-    L_i the `fixed_point_factor` at i and Psi_{i,a} the `_psi` of point a
-    of the `_orbit_points` table `points`.
+    L_i the `fixed_point_factor` at i and Psi_{i,a} the `_psi` at the
+    weights of point a of `points`, as `_orbit_points` lists them.
 
     Over T^n alone w(B) = sum_i L_i Psi_i^|B| depends only on |B|: one
     weight per block size, each running product one product on from the
-    last over the lifted L_i of `_lifted_factors`, summed by
-    `block_size_sums`.
+    last over the lifted L_i of `_lifted_factors` and the n Psi_i of the
+    one shared list of weights, summed by `block_size_sums`.
 
     With scaling weights each block's weight is built once, so the sums
     over [k] and over [k - 1] share it, and S(m) is `partition_sum`, the
@@ -346,8 +339,9 @@ def _orbit_sums(t: TorusData, points):
     for |B| < n, and for |B| = n from n = 3 on; the sum over the n fixed
     points (`_fixed_point_weights`) for the larger blocks, and for |B| = n
     at n <= 2, where it is the faster (0.10 ms against 0.16 ms for a pair
-    at n = 2).  So the L_i and the Psi rows are built only when some block
-    takes the fixed points: when k > n, or k = n <= 2.  The identity: with
+    at n = 2).  So the L_i and the Psi rows, with their punctured classes,
+    are built only when some block takes the fixed points: when k > n, or
+    k = n <= 2; the pole side reads no line class.  The identity: with
 
         Phi(z) = prod_j (a_j + y z)/(a_j - z),
         g_B(z) = prod_{a in B} (1+y)/(b_a z - 1),
@@ -404,22 +398,19 @@ def mc_orbit_full(t: TorusData, k: int) -> RatFunc:
     spanned lines where vectors are allowed to vanish: the strictly nonzero
     part plus k copies of the one-fewer-vector part, each over the Euler
     class of the origin in (C^n)^k (weights b_a a_j) or in (C^n)^(k-1),
-    S(k) R_1...R_k + k S(k - 1) R_1...R_(k-1).  S is `_orbit_sums`, and R_a
-    is the reciprocal of the origin classes of point a of the
-    `_orbit_points` table, built as `euler_reciprocal` builds it.
+    S(k) R_[k] + k S(k - 1) R_[k-1].  S is `_orbit_sums`, and R_[m] is the
+    `euler_reciprocal` at the weights of the first m points of
+    `_orbit_points`; R_[k] is R_[k-1] times that of the k-th point, so each
+    weight's origin class is built once.
 
     Right only at unit scaling weights b_a = 1: the stratum where the a-th
     vector vanishes belongs at the weights of the other points, and each of
     the k copies takes those of the first k - 1."""
     points = _orbit_points(t, k)
     sums = _orbit_sums(t, points)
-    # prods[a] = R_1...R_a; the points of T^n share one pair and its R_a
-    prods = [t.one()]
-    for a, point in enumerate(points):
-        if not a or point is not points[a - 1]:
-            recip = _euler_reciprocal(t, [origin for origin, _, _ in point[1]])
-        prods.append(prods[-1] * recip)
-    return sums(k) * prods[k] + k * (sums(k - 1) * prods[k - 1])
+    prev = euler_reciprocal(t, [w for point in points[:-1] for w in point])
+    full = prev * euler_reciprocal(t, points[-1])
+    return sums(k) * full + k * (sums(k - 1) * prev)
 
 
 def mc_conf_proj_recursion(t: TorusData, e_extended: ProjFixedPoint) -> RatFunc:

@@ -57,8 +57,8 @@ def _parse_list(option: str, text: str, convert) -> list:
 # n comes first in a row that has one.  The affine, projective, orbit and s2
 # tables by n and the residue poles are capped so that a run stays within
 # 30 s and 1 GB (README gives the runs); RECURSION_K_MAX[n] is the largest k
-# with n^k <= 256 fixed points, and MAX_POLE_ORDER the pole order of the
-# N-th residue term.
+# with n^k <= 256 fixed points within the shared range 1..7, and
+# MAX_POLE_ORDER the pole order of the N-th residue term.
 AFFINE_K_MAX = {1: 7, 2: 7, 3: 7, 4: 7, 5: 7, 6: 5}
 PROJ_POINT_MAX = {1: 7, 2: 7, 3: 7, 4: 7, 5: 7, 6: 6}
 ORBIT_K_MAX = {1: 7, 2: 7, 3: 5, 4: 4, 5: 3, 6: 3}
@@ -95,7 +95,8 @@ CLASSES = {
               dict(n=(None, 1, 6), k=(None, 1, ORBIT_K_MAX)),
               lambda args: mc_orbit_conf(
                   TorusData.standard(args.n, k=args.k), args.k)),
-    "orbit-full": ("vanishing-allowed orbit class",
+    "orbit-full": ("vanishing-allowed orbit class (for k >= 2 right only at "
+                   "unit scaling weights b_a = 1)",
                    dict(n=(None, 1, 6), k=(None, 1, ORBIT_K_MAX)),
                    lambda args: mc_orbit_full(
                        TorusData.standard(args.n, k=args.k), args.k)),

@@ -216,10 +216,10 @@ def test_line_products_at_rational_units(alphas):
                 for c in RatFunc.const(u, 1).line_products(ws, "y")] \
             == [ratfunc_storage_sorted(c)
                 for c in lambda_classes_by_products(u, ws)]
-        assert ratfunc_storage_sorted(lambda_ratio(u, ws)) \
-            == ratfunc_storage_sorted(lambda_ratio_by_division(u, ws))
-    assert ratfunc_storage_sorted(lambda_ratio(u, scaled)) \
-        == ratfunc_storage_sorted(residue_weights_by_division(u, alphas))
+        assert ratfunc_storage(lambda_ratio(u, ws)) \
+            == ratfunc_storage(lambda_ratio_by_division(u, ws))
+    assert ratfunc_storage(lambda_ratio(u, scaled)) \
+        == ratfunc_storage(residue_weights_by_division(u, alphas))
     assert not lambda_ratio(u, constant)._factors
 
 
@@ -431,8 +431,10 @@ def test_torus_orbit_classes_match_the_partition_sum(n, k):
 @pytest.mark.parametrize("build", (mc_orbit_conf, mc_orbit_full))
 def test_torus_orbit_classes_run_no_partition_sum(build, monkeypatch):
     # over T^n alone one weight per block size is built, from the line
-    # classes of a_1..a_n alone: 2 per L_i (n = 2) and 2 for the one row of
-    # the k points, whose origin classes give the reciprocal Euler class
+    # classes of a_1..a_n alone: 1 for each of the 2 L_i (n = 2) and the 2
+    # punctured classes of the Psi_i of the one list of weights that the k
+    # points share.  mc_orbit_full adds the origin classes of its
+    # reciprocal Euler classes, one per weight of the k = 5 points: 10
     lines = []
     real_lines = classes.mc_line_classes
 
@@ -446,27 +448,24 @@ def test_torus_orbit_classes_run_no_partition_sum(build, monkeypatch):
     monkeypatch.setattr(classes, "partition_sum", no_sum)
     monkeypatch.setattr(classes, "mc_line_classes", recording_lines)
     build(_torus(2, 5), 5)
-    assert len(lines) == 4
+    assert len(lines) == {mc_orbit_conf: 4, mc_orbit_full: 14}[build]
 
 
 def test_orbit_points_share_one_row_over_the_torus_alone():
-    # over T^n alone the k points hold one pair of weights and line
-    # classes, at a_1..a_n; a scaled torus holds one pair per point, at
-    # b_a a_1..b_a a_n
+    # over T^n alone the k points hold one list of weights, a_1..a_n; a
+    # scaled torus holds one list per point, b_a a_1..b_a a_n.  The points
+    # hold weights alone, no class
     t = _torus(2, 3)
     torus = classes._orbit_points(t, 3)
     assert len(torus) == 3 and all(point is torus[0] for point in torus)
-    weights, row = torus[0]
-    assert weights == [t.a(j) for j in (1, 2)]
-    assert [origin for origin, _, _ in row] \
-        == [1 - 1 / t.a(j) for j in (1, 2)]
+    assert torus[0] == [t.a(j) for j in (1, 2)]
+    assert [ratfunc_storage(w) for w in torus[0]] \
+        == [ratfunc_storage(t.a(j)) for j in (1, 2)]
     t = TorusData.standard(2, k=3)
     scaled = classes._orbit_points(t, 3)
     assert len({id(point) for point in scaled}) == 3
-    assert [weights for weights, _ in scaled] == [
-        [t.b(a) * t.a(j) for j in (1, 2)] for a in (1, 2, 3)]
-    assert [[line for _, line, _ in row] for _, row in scaled] == [
-        [1 + t.y / (t.b(a) * t.a(j)) for j in (1, 2)] for a in (1, 2, 3)]
+    assert scaled == [[t.b(a) * t.a(j) for j in (1, 2)] for a in (1, 2, 3)]
+    assert all(w.is_unit() for weights in torus + scaled for w in weights)
 
 
 def test_euler_point_beta():
@@ -512,8 +511,8 @@ def test_local_classes_store_what_division_stores(n):
         assert [ratfunc_storage(w) for w in proj_tangent_weights(t, i)] \
             == [ratfunc_storage(w)
                 for w in proj_tangent_weights_by_division(t, i)]
-        assert ratfunc_storage_sorted(fixed_point_factor(t, i)) \
-            == ratfunc_storage_sorted(fixed_point_factor_by_division(t, i))
+        assert ratfunc_storage(fixed_point_factor(t, i)) \
+            == ratfunc_storage(fixed_point_factor_by_division(t, i))
     for weights in weight_lists:
         assert ratfunc_storage(euler_reciprocal(t, weights)) \
             == ratfunc_storage(euler_reciprocal_by_division(t, weights))
@@ -521,19 +520,20 @@ def test_local_classes_store_what_division_stores(n):
                 for c in lambda_classes(t, weights)] \
             == [ratfunc_storage_sorted(c)
                 for c in lambda_classes_by_products(t.universe, weights)]
-    # each point of the scaled table: its weights, its three classes at
-    # every weight, its Psi_i and its R_a of mc_orbit_full
-    for a, (weights, row) in enumerate(classes._orbit_points(t, 2), start=1):
+    # each point of the scaled orbit classes: its weights, the three
+    # classes at every weight, its Psi_i and its reciprocal Euler class of
+    # mc_orbit_full
+    for a, weights in enumerate(classes._orbit_points(t, 2), start=1):
         assert [ratfunc_storage(w) for w in weights] \
             == [ratfunc_storage(t.b(a) * t.a(j)) for j in range(1, n + 1)]
-        assert [[ratfunc_storage(c) for c in lines] for lines in row] \
+        assert [[ratfunc_storage(c) for c in mc_line_classes(w)]
+                for w in weights] \
             == [[ratfunc_storage(c) for c in line_classes_by_arithmetic(w)]
                 for w in weights]
         for i in range(1, n + 1):
-            assert ratfunc_storage_sorted(classes._psi((weights, row), i)) \
+            assert ratfunc_storage_sorted(classes._psi(weights, i)) \
                 == ratfunc_storage_sorted(psi_by_products(weights, i))
-        assert ratfunc_storage(classes._euler_reciprocal(
-            t, [origin for origin, _, _ in row])) \
+        assert ratfunc_storage(euler_reciprocal(t, weights)) \
             == ratfunc_storage(euler_reciprocal_by_division(t, weights))
 
 
@@ -559,10 +559,10 @@ def test_local_classes_try_no_division(monkeypatch):
         for weights in weight_lists:
             euler_reciprocal(t, weights)
             lambda_classes(t, weights)
-        for point in classes._orbit_points(t, 2):
-            classes._euler_reciprocal(t, [origin for origin, _, _ in point[1]])
+        for weights in classes._orbit_points(t, 2):
+            euler_reciprocal(t, weights)
             for i in range(1, n + 1):
-                classes._psi(point, i)
+                classes._psi(weights, i)
     assert calls == []
 
 
@@ -651,13 +651,14 @@ def test_orbit_full_stores_what_its_parts_compose(n, k):
 
 
 def test_orbit_full_builds_each_block_weight_once(monkeypatch):
-    # the sums over [4] and over [3] read one table: each of the 15 blocks
-    # of [4] gets one weight object, and the L_i are built once, for the
-    # one block of 4 > n points.  The line classes are built once per
-    # weight: 6 for the L_i and 12 for the points of the 12 weights b_a a_j,
-    # which give both the punctured classes of the Psi rows and the
-    # reciprocal Euler classes.  At k = n = 3 every block is summed over
-    # the poles, so only the 9 of the points are built, and no L_i
+    # the sums over [4] and over [3] share their block weights: each of the
+    # 15 blocks of [4] gets one weight object, and the L_i are built once,
+    # for the one block of 4 > n points.  The line classes: 6 for the L_i
+    # (one per weight a_j/a_i), 12 punctured classes for the Psi_{i,a} of
+    # the 4 points at the 3 fixed points, and 12 origin classes for the
+    # reciprocal Euler classes, one per weight b_a a_j: the one over the
+    # first 3 points is reused for all 4.  At k = n = 3 every block is
+    # summed over the poles, so no L_i and no line class is built
     weights = {}
     factors = []
     lines = []
@@ -686,12 +687,29 @@ def test_orbit_full_builds_each_block_weight_once(monkeypatch):
     assert len(weights) == 15
     assert all(len(ids) == 1 for ids in weights.values())
     assert sorted(factors) == [1, 2, 3]
-    assert len(lines) == 18
+    assert len(lines) == 30
     factors.clear()
     lines.clear()
     mc_orbit_conf(TorusData.standard(3, k=3), 3)
     assert factors == []
-    assert len(lines) == 9
+    assert lines == []
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 3)])
+def test_pole_side_orbit_classes_build_no_line_class(monkeypatch, n, k):
+    # with scaling weights and k <= n (n >= 3) every block is summed over
+    # the poles 1/b_a, which read lambda_y and lambda_{-1} of each point
+    # from its weights' keys: no L_i, no Psi row and no line class
+    lines = []
+    real_lines = classes.mc_line_classes
+
+    def recording_lines(w):
+        lines.append(w)
+        return real_lines(w)
+
+    monkeypatch.setattr(classes, "mc_line_classes", recording_lines)
+    mc_orbit_conf(TorusData.standard(n, k=k), k)
+    assert lines == []
 
 
 def test_block_weight_divisions_all_hit(monkeypatch):

@@ -19,7 +19,7 @@ from confchern.series import (PoleOrderError, TruncSeries, _partition_series,
                               orbit_series_sides, residue_at,
                               residue_form_factor)
 from oracles import (exp_by_powers, log1p_by_powers, orbit_coefficient_expanded,
-                     ratfunc_storage_sorted, residue_form_factor_by_division,
+                     ratfunc_storage, residue_form_factor_by_division,
                      residue_weights_by_division, weight_pole_c,
                      weight_pole_exponent, weight_pole_lambda)
 
@@ -530,14 +530,13 @@ RESIDUE_POLE_SETS = [[Fraction(a) for a in poles] for poles in (
 def test_residue_integrand_stores_what_division_stores(alphas):
     # the lambda ratio over the weights a/z, and the core times it with no
     # trial division, store what the chains of RatFunc divisions store:
-    # terms, denominators, bounds and factors in order, apart from the
-    # numerator's key order, which the line products set
-    assert ratfunc_storage_sorted(series._residue_weights(ZU, alphas)) \
-        == ratfunc_storage_sorted(residue_weights_by_division(ZU, alphas))
+    # numerator terms in key order, denominators, bounds and factors in
+    # order
+    assert ratfunc_storage(series._residue_weights(ZU, alphas)) \
+        == ratfunc_storage(residue_weights_by_division(ZU, alphas))
     for u in range(1, 6):
-        assert ratfunc_storage_sorted(residue_form_factor(ZU, alphas, u)) \
-            == ratfunc_storage_sorted(
-                residue_form_factor_by_division(ZU, alphas, u))
+        assert ratfunc_storage(residue_form_factor(ZU, alphas, u)) \
+            == ratfunc_storage(residue_form_factor_by_division(ZU, alphas, u))
 
 
 def test_residue_integrand_tries_no_division(monkeypatch):
